@@ -40,6 +40,7 @@ struct Measured {
   std::size_t contained = 0;
   std::size_t missed = 0;
   std::size_t spurious = 0;
+  std::size_t errors = 0;
   unsigned detectors = 0;
 };
 
@@ -63,6 +64,9 @@ std::vector<Measured> aggregate(const fi::Report& report,
       case fi::Outcome::kSpurious:
         ++m.spurious;
         break;
+      case fi::Outcome::kError:
+        ++m.errors;
+        break;
       case fi::Outcome::kNominal:
         break;
     }
@@ -74,7 +78,7 @@ std::vector<Measured> aggregate(const fi::Report& report,
 /// land where the static verdict says it can.
 bool agrees(const validation::FaultVerdict& v, const Measured& m,
             std::size_t replicates) {
-  if (m.spurious > 0) return false;
+  if (m.spurious > 0 || m.errors > 0) return false;
   if (!v.detectable) return m.missed == replicates;
   if (m.missed > 0) return false;
   if (v.contained) return m.contained == replicates;

@@ -38,6 +38,11 @@ struct Interval {
   [[nodiscard]] bool contains(std::int64_t v) const {
     return lo <= v && v <= hi;
   }
+  /// [INT64_MIN, INT64_MAX], the FlowSpec default: no value constraint was
+  /// declared (no range monitor is compiled, no range propagated).
+  [[nodiscard]] bool unbounded() const {
+    return lo == INT64_MIN && hi == INT64_MAX;
+  }
   bool operator==(const Interval&) const = default;
 };
 

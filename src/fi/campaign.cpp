@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <exception>
 #include <thread>
 #include <utility>
 
@@ -29,6 +30,8 @@ std::string_view to_string(Outcome outcome) {
       return "missed";
     case Outcome::kSpurious:
       return "spurious";
+    case Outcome::kError:
+      return "error";
   }
   return "unknown";
 }
@@ -172,6 +175,16 @@ std::string Report::render() const {
   append_latency(out, "onset -> violation", detection_latency);
   append_latency(out, "onset -> DTC", confirmation_latency);
   append_latency(out, "onset -> degraded", reaction_latency);
+  if (errors != 0) {
+    std::snprintf(buf, sizeof(buf), "errors: %zu\n", errors);
+    out += buf;
+    for (const auto& s : scenarios) {
+      if (s.outcome != Outcome::kError) continue;
+      out += "  scenario " + std::to_string(s.index) + " (" +
+             (s.baseline ? std::string("baseline") : s.fault.label()) +
+             "): " + s.error + "\n";
+    }
+  }
   return out;
 }
 
@@ -185,42 +198,6 @@ void Campaign::add_fault(Fault fault) {
   faults_.push_back(std::move(fault));
 }
 
-Domain Campaign::domain_of(const Fault& fault,
-                           const vfb::DeploymentPlan& plan) const {
-  Domain domain;
-  switch (fault.kind) {
-    case FaultKind::kFrameDrop:
-    case FaultKind::kFrameCorrupt:
-    case FaultKind::kFrameDelay:
-      // A bus fault may disturb any deployed component; detection anywhere
-      // is in-domain (the fault's blast radius IS the shared medium).
-      domain.everything = true;
-      break;
-    case FaultKind::kBabblingIdiot:
-      // The rogue node is not a component: every disturbance of real
-      // components is a leak. (On TDMA buses the static schedule contains
-      // the babbler structurally — the fault then scores missed.)
-      break;
-    case FaultKind::kValueCorrupt:
-    case FaultKind::kStuckAt:
-      domain.instances.insert(
-          fault.target.substr(0, fault.target.find('.')));
-      break;
-    case FaultKind::kTaskCrash:
-    case FaultKind::kWcetOverrun:
-    case FaultKind::kExecutionJitter:
-      domain.instances.insert(fault.target);
-      break;
-    case FaultKind::kClockDrift:
-      // Everything on the drifting ECU shares its broken clock.
-      for (const auto& [instance, dep] : plan.instances) {
-        if (dep.ecu == fault.target) domain.instances.insert(instance);
-      }
-      break;
-  }
-  return domain;
-}
-
 ScenarioResult Campaign::run_scenario(std::size_t index) const {
   ScenarioResult result;
   result.index = index;
@@ -229,7 +206,19 @@ ScenarioResult Campaign::run_scenario(std::size_t index) const {
     result.fault = faults_[(index - 1) / cfg_.replicates];
     result.onset = result.fault.from;
   }
+  try {
+    return simulate(result);
+  } catch (const std::exception& e) {
+    result.error = e.what();
+  } catch (...) {
+    result.error = "unknown exception";
+  }
+  result.outcome = Outcome::kError;
+  return result;
+}
 
+ScenarioResult Campaign::simulate(ScenarioResult result) const {
+  const std::size_t index = result.index;
   // Fresh world per scenario: nothing survives into the next one, so the
   // atomic work-index schedule cannot leak state across scenarios.
   ModelBundle bundle = factory_();
@@ -330,6 +319,10 @@ Report Campaign::run() const {
   Report report;
   report.scenarios = std::move(results);
   for (const auto& r : report.scenarios) {
+    if (r.outcome == Outcome::kError) {
+      ++report.errors;
+      continue;
+    }
     if (r.baseline) {
       ++report.baselines;
       if (r.outcome == Outcome::kSpurious) ++report.spurious_baselines;
@@ -354,6 +347,7 @@ Report Campaign::run() const {
         ++cs.spurious;
         break;
       case Outcome::kNominal:
+      case Outcome::kError:
         break;
     }
     for (std::size_t bit = 0; bit < kDetectorCount; ++bit) {

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -75,6 +74,7 @@ enum class Outcome {
   kDetected,   ///< Detected, but a violation leaked outside the domain.
   kMissed,     ///< Fault active, no monitor fired.
   kSpurious,   ///< A violation fired before onset (or in the baseline).
+  kError,      ///< The factory, the system build or a runnable threw.
 };
 
 [[nodiscard]] std::string_view to_string(Outcome outcome);
@@ -118,19 +118,6 @@ struct Evidence {
   std::vector<Detection> detections;
 };
 
-/// The set of instances a fault is allowed to disturb. Bus-wide faults set
-/// `everything` (any blame is in-domain -> contained if detected); a
-/// babbling idiot has an EMPTY domain (the rogue node is not a component,
-/// so any disturbance of real components is a leak).
-struct Domain {
-  bool everything = false;
-  std::set<std::string> instances;
-
-  [[nodiscard]] bool contains(const std::string& instance) const {
-    return everything || instances.count(instance) > 0;
-  }
-};
-
 /// The pure scoring rule (see Outcome). Pre-onset detections dominate
 /// (spurious), then silence (missed/nominal), then containment.
 [[nodiscard]] Outcome classify(const Evidence& evidence, const Domain& domain);
@@ -148,6 +135,7 @@ struct ScenarioResult {
   sim::Time first_dtc = -1;
   sim::Time first_degrade = -1;
   std::size_t violations = 0;
+  std::string error;  ///< The exception message when outcome == kError.
 };
 
 struct ClassStats {
@@ -169,6 +157,9 @@ struct Report {
   std::map<std::string, ClassStats> matrix;
   std::size_t baselines = 0;
   std::size_t spurious_baselines = 0;
+  /// Scenarios scored kError (baselines included); they enter neither the
+  /// matrix nor the baseline counts.
+  std::size_t errors = 0;
   /// Onset -> first violation / matured DTC / degraded mode, over scenarios
   /// scored detected or contained (ns).
   sim::Stats detection_latency;
@@ -176,7 +167,8 @@ struct Report {
   sim::Stats reaction_latency;
 
   [[nodiscard]] std::size_t count(Outcome outcome) const;
-  /// Rendered coverage matrix + latency percentiles (stdout-ready).
+  /// Rendered coverage matrix + latency percentiles (stdout-ready), plus
+  /// one line per error scenario when there are any.
   [[nodiscard]] std::string render() const;
 };
 
@@ -199,9 +191,10 @@ class Campaign {
   [[nodiscard]] Report run() const;
 
  private:
+  /// One scenario, with an exception boundary: whatever throws inside it
+  /// is scored kError instead of terminating the worker.
   [[nodiscard]] ScenarioResult run_scenario(std::size_t index) const;
-  [[nodiscard]] Domain domain_of(const Fault& fault,
-                                 const vfb::DeploymentPlan& plan) const;
+  [[nodiscard]] ScenarioResult simulate(ScenarioResult result) const;
 
   ModelFactory factory_;
   CampaignConfig cfg_;

@@ -2,32 +2,6 @@
 
 namespace orte::fi {
 
-std::string_view to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kFrameDrop:
-      return "frame_drop";
-    case FaultKind::kFrameCorrupt:
-      return "frame_corrupt";
-    case FaultKind::kFrameDelay:
-      return "frame_delay";
-    case FaultKind::kBabblingIdiot:
-      return "babbling_idiot";
-    case FaultKind::kValueCorrupt:
-      return "value_corrupt";
-    case FaultKind::kStuckAt:
-      return "stuck_at";
-    case FaultKind::kTaskCrash:
-      return "task_crash";
-    case FaultKind::kWcetOverrun:
-      return "wcet_overrun";
-    case FaultKind::kExecutionJitter:
-      return "execution_jitter";
-    case FaultKind::kClockDrift:
-      return "clock_drift";
-  }
-  return "unknown";
-}
-
 std::string_view to_string(FaultClass cls) {
   switch (cls) {
     case FaultClass::kBus:

@@ -11,10 +11,12 @@
 #pragma once
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <string_view>
 
 #include "sim/time.hpp"
+#include "vfb/deployment.hpp"
 
 namespace orte::fi {
 
@@ -25,7 +27,8 @@ namespace orte::fi {
 ///  * babbling idiot: the bus itself (target unused); a rogue node is
 ///    attached that floods high-priority frames,
 ///  * value faults (corrupt/stuck-at): an RTE sender key
-///    ("instance.port.element") or an instance-name prefix,
+///    ("instance.port.element"), an instance-name prefix, or "" = every
+///    sender key (see key_matches),
 ///  * task faults (crash/overrun/jitter): a component instance name,
 ///  * clock drift: an ECU name (all frames sourced by its bus node drift).
 enum class FaultKind {
@@ -96,7 +99,103 @@ struct Fault {
   return FaultClass::kBus;  // unreachable
 }
 
-[[nodiscard]] std::string_view to_string(FaultKind kind);
+/// Sender-key match of the value faults, shared by the injector and the
+/// static detectability analysis: "" matches every key (the frame-fault
+/// convention), otherwise the exact key or an instance-name prefix followed
+/// by '.' ("pedal" matches "pedal.out.pos" but not "pedal2.out.pos").
+[[nodiscard]] inline bool key_matches(std::string_view target,
+                                      std::string_view key) {
+  if (target.empty() || key == target) return true;
+  return key.size() > target.size() &&
+         key.compare(0, target.size(), target) == 0 &&
+         key[target.size()] == '.';
+}
+
+/// The set of instances a fault is allowed to disturb. Bus-wide faults set
+/// `everything` (any blame is in-domain -> contained if detected); a
+/// babbling idiot has an EMPTY domain (the rogue node is not a component,
+/// so any disturbance of real components is a leak).
+struct Domain {
+  bool everything = false;
+  std::set<std::string> instances;
+
+  [[nodiscard]] bool contains(const std::string& instance) const {
+    return everything || instances.count(instance) > 0;
+  }
+};
+
+/// The containment domain of `fault` in a deployment. The campaign scores
+/// against it and the static detectability analysis predicts with it
+/// (header-inline like fault_class: the validation library does not link
+/// the fi library).
+[[nodiscard]] inline Domain domain_of(const Fault& fault,
+                                      const vfb::DeploymentPlan& plan) {
+  Domain domain;
+  switch (fault.kind) {
+    case FaultKind::kFrameDrop:
+    case FaultKind::kFrameCorrupt:
+    case FaultKind::kFrameDelay:
+      // A bus fault may disturb any deployed component; detection anywhere
+      // is in-domain (the fault's blast radius IS the shared medium).
+      domain.everything = true;
+      break;
+    case FaultKind::kBabblingIdiot:
+      // The rogue node is not a component: every disturbance of real
+      // components is a leak. (On TDMA buses the static schedule contains
+      // the babbler structurally — the fault then scores missed.)
+      break;
+    case FaultKind::kValueCorrupt:
+    case FaultKind::kStuckAt:
+      // The producer owning the key; "" corrupts every producer.
+      if (fault.target.empty()) {
+        domain.everything = true;
+      } else {
+        domain.instances.insert(
+            fault.target.substr(0, fault.target.find('.')));
+      }
+      break;
+    case FaultKind::kTaskCrash:
+    case FaultKind::kWcetOverrun:
+    case FaultKind::kExecutionJitter:
+      domain.instances.insert(fault.target);
+      break;
+    case FaultKind::kClockDrift:
+      // Everything on the drifting ECU shares its broken clock.
+      for (const auto& [instance, dep] : plan.instances) {
+        if (dep.ecu == fault.target) domain.instances.insert(instance);
+      }
+      break;
+  }
+  return domain;
+}
+
+/// Kind name as in scenario labels ("task_crash"). Header-inline like
+/// fault_class, for the validation library, which does not link this one.
+[[nodiscard]] constexpr std::string_view to_string(FaultKind kind) {
+  switch (kind) {
+    case FaultKind::kFrameDrop:
+      return "frame_drop";
+    case FaultKind::kFrameCorrupt:
+      return "frame_corrupt";
+    case FaultKind::kFrameDelay:
+      return "frame_delay";
+    case FaultKind::kBabblingIdiot:
+      return "babbling_idiot";
+    case FaultKind::kValueCorrupt:
+      return "value_corrupt";
+    case FaultKind::kStuckAt:
+      return "stuck_at";
+    case FaultKind::kTaskCrash:
+      return "task_crash";
+    case FaultKind::kWcetOverrun:
+      return "wcet_overrun";
+    case FaultKind::kExecutionJitter:
+      return "execution_jitter";
+    case FaultKind::kClockDrift:
+      return "clock_drift";
+  }
+  return "unknown";
+}
 [[nodiscard]] std::string_view to_string(FaultClass cls);
 
 }  // namespace orte::fi

@@ -24,15 +24,6 @@ bool frame_matches(const Fault& f, const net::Frame& frame) {
          frame.name.find(f.target) != std::string::npos;
 }
 
-/// Sender-key match: exact key, or instance prefix ("pedal" matches
-/// "pedal.out.pos" but not "pedal2.out.pos").
-bool key_matches(const std::string& target, std::string_view key) {
-  if (key == target) return true;
-  return key.size() > target.size() &&
-         key.compare(0, target.size(), target) == 0 &&
-         key[target.size()] == '.';
-}
-
 /// One fault plus its private RNG stream (shared_ptr: the stream state must
 /// outlive install_faults inside the hook closures).
 struct Armed {
@@ -215,7 +206,9 @@ void install_faults(sim::Kernel& kernel, vfb::System& sys,
           for (const auto& f : crash_faults) {
             // Crashes are permanent (no until): a dead component writes
             // nothing ever again — fail-silent at the component boundary.
-            if (kernel.now() >= f.from && key_matches(f.target, key)) {
+            // The target names an instance, so "" crashes nothing.
+            if (kernel.now() >= f.from && !f.target.empty() &&
+                key_matches(f.target, key)) {
               return false;
             }
           }

@@ -5,193 +5,33 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
+
+#include "validation/flow_analysis.hpp"
 
 namespace orte::validation {
 
 namespace {
 
 using contracts::Contract;
-using contracts::FlowSpec;
-using vfb::ComponentInstance;
-using vfb::ComponentType;
-using vfb::Connector;
-using vfb::DataAccessKind;
 using vfb::DeploymentPlan;
-using vfb::Port;
-using vfb::PortDirection;
-using vfb::PortInterface;
-using vfb::Runnable;
 using vfb::RunnableTrigger;
 
 using ContractMap = std::map<std::string, Contract, std::less<>>;
-
-bool is_write(DataAccessKind k) {
-  return k == DataAccessKind::kImplicitWrite ||
-         k == DataAccessKind::kExplicitWrite;
-}
-
-std::string dot(std::string_view a, std::string_view b, std::string_view c) {
-  std::string out(a);
-  out += '.';
-  out += b;
-  out += '.';
-  out += c;
-  return out;
-}
-
-std::string slot_key(std::string_view instance, std::string_view port,
-                     std::string_view element) {
-  return dot(instance, port, element);
-}
 
 std::string first_segment(std::string_view key) {
   return std::string(key.substr(0, key.find('.')));
 }
 
-const ComponentType* type_of(const vfb::Composition& model,
-                             const std::string& instance) {
-  const ComponentInstance* inst = model.find_instance(instance);
-  return inst == nullptr ? nullptr : model.find_type(inst->type);
-}
-
-const Port* find_port(const ComponentType& type, std::string_view name) {
-  for (const auto& p : type.ports) {
-    if (p.name == name) return &p;
-  }
-  return nullptr;
-}
-
-const PortInterface* sr_interface(const vfb::Composition& model,
-                                  const std::string& instance,
-                                  const std::string& port,
-                                  const Port** port_out = nullptr) {
-  const ComponentType* type = type_of(model, instance);
-  if (type == nullptr) return nullptr;
-  const Port* p = find_port(*type, port);
-  if (p == nullptr) return nullptr;
-  const PortInterface* iface = model.find_interface(p->interface);
-  if (iface == nullptr || iface->kind != PortInterface::Kind::kSenderReceiver) {
-    return nullptr;
-  }
-  if (port_out != nullptr) *port_out = p;
-  return iface;
-}
-
-struct SplitFlow {
-  std::string port;
-  std::string element;
-};
-SplitFlow split_flow(const std::string& flow) {
-  const auto d = flow.find('.');
-  if (d == std::string::npos) return {flow, {}};
-  return {flow.substr(0, d), flow.substr(d + 1)};
-}
-
-/// Model-only mirror of System::resolve_flow (see flow_analysis.cpp): the
-/// "rte.write" sender keys a contract flow of `instance` resolves to.
-std::vector<std::string> resolve_flow(const vfb::Composition& model,
-                                      const std::string& instance,
-                                      const std::string& flow) {
-  const SplitFlow f = split_flow(flow);
-  const Port* p = nullptr;
-  const PortInterface* iface = sr_interface(model, instance, f.port, &p);
-  if (iface == nullptr) return {};
-
-  std::string src_instance = instance;
-  std::string src_port = f.port;
-  if (p->direction == PortDirection::kRequired) {
-    const Connector* conn = model.connection_to(instance, f.port);
-    if (conn == nullptr) return {};
-    src_instance = conn->from_instance;
-    src_port = conn->from_port;
-  }
-  std::vector<std::string> subjects;
-  for (const auto& elem : iface->elements) {
-    if (!f.element.empty() && elem.name != f.element) continue;
-    subjects.push_back(slot_key(src_instance, src_port, elem.name));
-  }
-  return subjects;
-}
-
-/// Mirror of System::resolve_flow_endpoints: (producer key, receiver key)
-/// pairs for a required-port flow.
-struct FlowEndpoint {
-  std::string producer_key;
-  std::string receiver_key;
-};
-std::vector<FlowEndpoint> resolve_flow_endpoints(const vfb::Composition& model,
-                                                 const std::string& instance,
-                                                 const std::string& flow) {
-  const SplitFlow f = split_flow(flow);
-  const Port* p = nullptr;
-  const PortInterface* iface = sr_interface(model, instance, f.port, &p);
-  if (iface == nullptr || p->direction != PortDirection::kRequired) return {};
-  const Connector* conn = model.connection_to(instance, f.port);
-  if (conn == nullptr) return {};
-  std::vector<FlowEndpoint> endpoints;
-  for (const auto& elem : iface->elements) {
-    if (!f.element.empty() && elem.name != f.element) continue;
-    endpoints.push_back(
-        {slot_key(conn->from_instance, conn->from_port, elem.name),
-         slot_key(instance, f.port, elem.name)});
-  }
-  return endpoints;
-}
-
-bool range_constrained(const contracts::Interval& range) {
-  return range.lo != INT64_MIN || range.hi != INT64_MAX;
-}
-
-/// Sender-key match mirroring the fi injector: exact key, or instance
-/// prefix followed by '.'. An empty target matches everything.
-bool key_matches(const std::string& target, std::string_view key) {
-  if (target.empty() || key == target) return true;
-  return key.size() > target.size() &&
-         key.compare(0, target.size(), target) == 0 &&
-         key[target.size()] == '.';
-}
-
-/// Local fault label (fi::Fault::label lives in the fi library, which sits
-/// above validation in the link order — the analysis renders its own).
+/// Scenario label of a V13/V14 subject: like fi::Fault::label, but with
+/// the short task-fault names and "*" for an empty target.
 std::string fault_label(const fi::Fault& f) {
-  std::string_view kind;
-  switch (f.kind) {
-    case fi::FaultKind::kFrameDrop:
-      kind = "frame_drop";
-      break;
-    case fi::FaultKind::kFrameCorrupt:
-      kind = "frame_corrupt";
-      break;
-    case fi::FaultKind::kFrameDelay:
-      kind = "frame_delay";
-      break;
-    case fi::FaultKind::kBabblingIdiot:
-      kind = "babbling_idiot";
-      break;
-    case fi::FaultKind::kValueCorrupt:
-      kind = "value_corrupt";
-      break;
-    case fi::FaultKind::kStuckAt:
-      kind = "stuck_at";
-      break;
-    case fi::FaultKind::kTaskCrash:
-      kind = "crash";
-      break;
-    case fi::FaultKind::kWcetOverrun:
-      kind = "wcet_overrun";
-      break;
-    case fi::FaultKind::kExecutionJitter:
-      kind = "exec_jitter";
-      break;
-    case fi::FaultKind::kClockDrift:
-      kind = "clock_drift";
-      break;
-  }
-  std::string out(kind);
-  out += ':';
-  out += f.target.empty() ? "*" : f.target;
-  return out;
+  const std::string_view kind =
+      f.kind == fi::FaultKind::kTaskCrash         ? "crash"
+      : f.kind == fi::FaultKind::kExecutionJitter ? "exec_jitter"
+                                                  : fi::to_string(f.kind);
+  return std::string(kind) + ':' + (f.target.empty() ? "*" : f.target);
 }
 
 // --- Perturbation atoms -------------------------------------------------------
@@ -247,21 +87,13 @@ struct Edge {
   std::string src_instance;
   std::string dst_instance;
   std::string src_ecu;  ///< Empty when the producer is not deployed.
-  std::string dst_ecu;
   bool cross_ecu = false;
 };
 
-/// Read/write slot footprint of one runnable (mirror of the V8 graph).
-struct RunnableIo {
-  std::string instance;
-  bool periodic = false;
-  std::vector<std::string> reads;
-  std::vector<std::string> writes;
-};
-
+/// The V8 slot dataflow graph plus deployment context.
 struct World {
-  std::vector<Edge> edges;
-  std::vector<RunnableIo> runnables;
+  FlowGraph graph;
+  std::vector<Edge> edges;  ///< Parallel to graph.edges.
   /// Instance -> every sender slot key its runnables write.
   std::map<std::string, std::set<std::string>> writes_of;
   /// Instances with at least one timing-triggered runnable.
@@ -269,51 +101,25 @@ struct World {
 };
 
 World build_world(const vfb::Composition& model, const DeploymentPlan& plan) {
-  World w;
-  for (const auto& inst : model.instances()) {
-    const ComponentType* type = type_of(model, inst.name);
-    if (type == nullptr) continue;
-    for (const auto& r : type->runnables) {
-      RunnableIo io;
-      io.instance = inst.name;
-      io.periodic = r.trigger.kind == RunnableTrigger::Kind::kTiming;
-      if (io.periodic) w.periodic_instances.insert(inst.name);
-      for (const auto& acc : r.accesses) {
-        const std::string key = slot_key(inst.name, acc.port, acc.element);
-        if (is_write(acc.kind)) {
-          io.writes.push_back(key);
-          w.writes_of[inst.name].insert(key);
-        } else {
-          io.reads.push_back(key);
-        }
-      }
-      if (r.trigger.kind == RunnableTrigger::Kind::kDataReceived) {
-        io.reads.push_back(
-            slot_key(inst.name, r.trigger.port, r.trigger.element));
-      }
-      w.runnables.push_back(std::move(io));
+  World w{build_flow_graph(model), {}, {}, {}};
+  for (const auto& rf : w.graph.runnables) {
+    if (rf.runnable->trigger.kind == RunnableTrigger::Kind::kTiming) {
+      w.periodic_instances.insert(*rf.instance);
     }
+    for (const auto& key : rf.writes) w.writes_of[*rf.instance].insert(key);
   }
   const auto ecu_of = [&plan](const std::string& instance) -> std::string {
     const auto it = plan.instances.find(instance);
     return it == plan.instances.end() ? std::string() : it->second.ecu;
   };
-  for (const auto& c : model.connectors()) {
-    const PortInterface* iface =
-        sr_interface(model, c.from_instance, c.from_port);
-    if (iface == nullptr) continue;
-    for (const auto& elem : iface->elements) {
-      Edge e;
-      e.producer_key = slot_key(c.from_instance, c.from_port, elem.name);
-      e.receiver_key = slot_key(c.to_instance, c.to_port, elem.name);
-      e.src_instance = c.from_instance;
-      e.dst_instance = c.to_instance;
-      e.src_ecu = ecu_of(c.from_instance);
-      e.dst_ecu = ecu_of(c.to_instance);
-      e.cross_ecu =
-          !e.src_ecu.empty() && !e.dst_ecu.empty() && e.src_ecu != e.dst_ecu;
-      w.edges.push_back(std::move(e));
-    }
+  for (const auto& se : w.graph.edges) {
+    const vfb::Connector& c = *se.connector;
+    Edge e{se.from, se.to, c.from_instance, c.to_instance,
+           ecu_of(c.from_instance), false};
+    const std::string dst_ecu = ecu_of(c.to_instance);
+    e.cross_ecu =
+        !e.src_ecu.empty() && !dst_ecu.empty() && e.src_ecu != dst_ecu;
+    w.edges.push_back(std::move(e));
   }
   return w;
 }
@@ -326,9 +132,16 @@ struct Plane {
   Atom atom;
 };
 
-std::vector<Plane> build_planes(const vfb::Composition& model,
+/// The compiled planes, read off the elaboration's monitor specs: deadline
+/// planes deduplicated per instance hosting a periodic task (event tasks get
+/// a monitor too, but with no period there is no bound to miss), then each
+/// contract's monitors in registration order, followed — when the plan opts
+/// in — by one alive plane per arrival key (System::build_alive_supervision
+/// supervises exactly those keys; the only plane that observes the
+/// *absence* of writes).
+std::vector<Plane> build_planes(const vfb::Elaboration& elab,
                                 const DeploymentPlan& plan,
-                                const ContractMap& contracts, const World& w) {
+                                const ContractMap& contracts) {
   std::vector<Plane> planes;
   const auto add = [&planes](MonitorPlane::Kind kind, std::string contract,
                              Atom atom, std::string blame) {
@@ -337,76 +150,75 @@ std::vector<Plane> build_planes(const vfb::Composition& model,
                            std::move(atom)});
   };
 
-  // (1) Deadline monitors: one per generated *periodic* task (event tasks
-  // get a monitor too, but with no period there is no bound to miss).
-  for (const auto& instance : w.periodic_instances) {
+  std::set<std::string> periodic;
+  std::vector<const vfb::MonitorSpec*> contract_specs;
+  for (const auto& m : elab.monitors) {
+    if (const auto* d = std::get_if<rv::DeadlineSpec>(&m.spec)) {
+      if (d->deadline > 0) periodic.insert(m.instance);
+    } else {
+      contract_specs.push_back(&m);
+    }
+  }
+  for (const auto& instance : periodic) {
     const auto cit = contracts.find(instance);
     add(MonitorPlane::Kind::kDeadline,
         cit == contracts.end() ? "tk|" + instance : cit->second.name,
         Atom{Atom::Kind::kTaskTiming, instance}, instance);
   }
 
-  for (const auto& [instance, contract] : contracts) {
-    // (2) Arrival monitors: periodic guarantees watch write timing.
-    for (const auto& g : contract.guarantees) {
-      if (g.timing.period <= 0) continue;
-      for (const auto& key : resolve_flow(model, instance, g.flow)) {
-        add(MonitorPlane::Kind::kArrival, contract.name,
-            Atom{Atom::Kind::kWriteTiming, key}, first_segment(key));
+  std::size_t group = 0;
+  for (std::size_t i = 0; i < contract_specs.size(); ++i) {
+    const vfb::MonitorSpec& m = *contract_specs[i];
+    if (const auto* a = std::get_if<rv::ArrivalSpec>(&m.spec)) {
+      // Periodic guarantees watch write timing.
+      add(MonitorPlane::Kind::kArrival, a->contract,
+          Atom{Atom::Kind::kWriteTiming, a->subject},
+          first_segment(a->subject));
+    } else if (const auto* r = std::get_if<rv::RangeSpec>(&m.spec)) {
+      // Guarantee ranges watch written values; assumption ranges watch
+      // delivered values and blame the feeding producer.
+      if (r->category == "rte.deliver") {
+        add(MonitorPlane::Kind::kRangeDeliver, r->contract,
+            Atom{Atom::Kind::kDeliverValue, r->subject},
+            first_segment(r->report_subject));
+      } else {
+        add(MonitorPlane::Kind::kRangeWrite, r->contract,
+            Atom{Atom::Kind::kWriteValue, r->subject},
+            first_segment(r->subject));
+      }
+    } else if (const auto* l = std::get_if<rv::LatencySpec>(&m.spec)) {
+      // Latency monitors watch one delivery edge (producer write ->
+      // consumer activation) and blame the producer.
+      add(MonitorPlane::Kind::kLatency, l->contract,
+          Atom{Atom::Kind::kDelivery,
+               l->source_subject + " -> " + l->sink_subject},
+          first_segment(l->source_subject));
+    } else if (const auto* au = std::get_if<rv::AutomatonSpec>(&m.spec)) {
+      // Automaton observers consume write events of the bound flows: a
+      // perturbed value or shifted timing can break the word.
+      for (const auto& label : au->labels) {
+        add(MonitorPlane::Kind::kAutomaton, au->contract,
+            Atom{Atom::Kind::kWriteValue, label.subject},
+            first_segment(label.subject));
+        add(MonitorPlane::Kind::kAutomaton, au->contract,
+            Atom{Atom::Kind::kWriteTiming, label.subject},
+            first_segment(label.subject));
       }
     }
-    // (2b) Guarantee-side range monitors watch written values.
-    for (const auto& g : contract.guarantees) {
-      if (!range_constrained(g.range)) continue;
-      for (const auto& key : resolve_flow(model, instance, g.flow)) {
-        add(MonitorPlane::Kind::kRangeWrite, contract.name,
-            Atom{Atom::Kind::kWriteValue, key}, first_segment(key));
-      }
-    }
-    // (2c) Assumption-side range monitors watch delivered values and blame
-    // the feeding producer.
-    for (const auto& a : contract.assumptions) {
-      if (!range_constrained(a.range)) continue;
-      for (const auto& ep : resolve_flow_endpoints(model, instance, a.flow)) {
-        add(MonitorPlane::Kind::kRangeDeliver, contract.name,
-            Atom{Atom::Kind::kDeliverValue, ep.receiver_key},
-            first_segment(ep.producer_key));
-      }
-    }
-    // (3) Latency monitors watch one delivery edge (producer write ->
-    // consumer activation) and blame the producer.
-    for (const auto& a : contract.assumptions) {
-      if (a.timing.latency <= 0) continue;
-      for (const auto& key : resolve_flow(model, instance, a.flow)) {
-        add(MonitorPlane::Kind::kLatency, contract.name,
-            Atom{Atom::Kind::kDelivery, key + " -> " + instance},
-            first_segment(key));
-      }
-    }
-    // (4) Automaton observers consume write events of the bound flows: a
-    // perturbed value or shifted timing can break the word.
-    if (contract.behaviour.has_value()) {
-      for (const auto& binding : contract.behaviour->bindings) {
-        for (const auto& key : resolve_flow(model, instance, binding.flow)) {
-          add(MonitorPlane::Kind::kAutomaton, contract.name,
-              Atom{Atom::Kind::kWriteValue, key}, first_segment(key));
-          add(MonitorPlane::Kind::kAutomaton, contract.name,
-              Atom{Atom::Kind::kWriteTiming, key}, first_segment(key));
-        }
-      }
-    }
-    // (5) Alive supervision (System::build_alive_supervision): when the plan
-    // opts in, every periodic guarantee key is watchdog-supervised — the
-    // only plane that observes the *absence* of writes.
+    const bool last_of_contract = i + 1 == contract_specs.size() ||
+                                  contract_specs[i + 1]->instance != m.instance;
+    if (!last_of_contract) continue;
     if (plan.alive_supervision) {
-      for (const auto& g : contract.guarantees) {
-        if (g.timing.period <= 0) continue;
-        for (const auto& key : resolve_flow(model, instance, g.flow)) {
-          add(MonitorPlane::Kind::kAlive, contract.name,
-              Atom{Atom::Kind::kWriteAbsence, key}, first_segment(key));
+      for (std::size_t j = group; j <= i; ++j) {
+        const auto* a = std::get_if<rv::ArrivalSpec>(&contract_specs[j]->spec);
+        if (a != nullptr) {
+          add(MonitorPlane::Kind::kAlive, a->contract,
+              Atom{Atom::Kind::kWriteAbsence, a->subject},
+              first_segment(a->subject));
         }
       }
     }
+    group = i + 1;
   }
   return planes;
 }
@@ -427,7 +239,7 @@ void propagate_values(const World& w, std::set<std::string>& writes,
         changed = true;
       }
     }
-    for (const auto& rf : w.runnables) {
+    for (const auto& rf : w.graph.runnables) {
       const bool tainted_read =
           std::any_of(rf.reads.begin(), rf.reads.end(),
                       [&delivers](const std::string& r) {
@@ -452,7 +264,7 @@ std::set<Atom> perturbation_of(const fi::Fault& f, const World& w,
     case fi::FaultKind::kFrameDrop:
     case fi::FaultKind::kFrameDelay:
       // Frames exist only on cross-ECU edges; the target is a frame-name
-      // substring which the model mirror approximates against the producer
+      // substring which the analysis approximates against the producer
       // key ("" = every frame).
       for (const auto& e : w.edges) {
         if (e.cross_ecu && (f.target.empty() ||
@@ -495,7 +307,7 @@ std::set<Atom> perturbation_of(const fi::Fault& f, const World& w,
       std::set<std::string> delivers;
       for (const auto& [instance, keys] : w.writes_of) {
         for (const auto& key : keys) {
-          if (key_matches(f.target, key)) writes.insert(key);
+          if (fi::key_matches(f.target, key)) writes.insert(key);
         }
       }
       propagate_values(w, writes, delivers);
@@ -542,45 +354,6 @@ std::set<Atom> perturbation_of(const fi::Fault& f, const World& w,
   return atoms;
 }
 
-// --- Containment domain mirror ------------------------------------------------
-
-struct Domain {
-  bool everything = false;
-  std::set<std::string> instances;
-
-  [[nodiscard]] bool contains(const std::string& instance) const {
-    return everything || instances.count(instance) != 0;
-  }
-};
-
-Domain domain_of(const fi::Fault& f, const DeploymentPlan& plan) {
-  Domain d;
-  switch (f.kind) {
-    case fi::FaultKind::kFrameDrop:
-    case fi::FaultKind::kFrameCorrupt:
-    case fi::FaultKind::kFrameDelay:
-      d.everything = true;
-      break;
-    case fi::FaultKind::kBabblingIdiot:
-      break;  // the rogue node is not a component: empty domain
-    case fi::FaultKind::kValueCorrupt:
-    case fi::FaultKind::kStuckAt:
-      d.instances.insert(first_segment(f.target));
-      break;
-    case fi::FaultKind::kTaskCrash:
-    case fi::FaultKind::kWcetOverrun:
-    case fi::FaultKind::kExecutionJitter:
-      d.instances.insert(f.target);
-      break;
-    case fi::FaultKind::kClockDrift:
-      for (const auto& [instance, dep] : plan.instances) {
-        if (dep.ecu == f.target) d.instances.insert(instance);
-      }
-      break;
-  }
-  return d;
-}
-
 FaultVerdict judge(const fi::Fault& f, const World& w,
                    const DeploymentPlan& plan,
                    const std::vector<Plane>& planes) {
@@ -589,7 +362,7 @@ FaultVerdict judge(const fi::Fault& f, const World& w,
   v.label = fault_label(f);
   const std::set<Atom> atoms = perturbation_of(f, w, plan);
   v.perturbs = !atoms.empty();
-  const Domain domain = domain_of(f, plan);
+  const fi::Domain domain = fi::domain_of(f, plan);
   bool any_in_domain = false;
   bool all_in_domain = true;
   for (const auto& p : planes) {
@@ -631,14 +404,12 @@ std::vector<fi::Fault> canonical_faults(const ContractMap& contracts,
   for (const auto& [instance, contract] : contracts) {
     bool resolvable_guarantee = false;
     for (const auto& g : contract.guarantees) {
-      if (!resolve_flow(model, instance, g.flow).empty()) {
-        resolvable_guarantee = true;
-      }
-      if (range_constrained(g.range)) {
-        for (const auto& key : resolve_flow(model, instance, g.flow)) {
-          faults.push_back(
-              {.kind = fi::FaultKind::kStuckAt, .target = key});
-        }
+      const std::vector<std::string> keys =
+          vfb::resolve_flow(model, instance, g.flow);
+      resolvable_guarantee = resolvable_guarantee || !keys.empty();
+      if (g.range.unbounded()) continue;
+      for (const auto& key : keys) {
+        faults.push_back({.kind = fi::FaultKind::kStuckAt, .target = key});
       }
     }
     if (!resolvable_guarantee || w.writes_of.count(instance) == 0) continue;
@@ -680,8 +451,10 @@ DetectabilityAnalysis analyze_detectability(
   DetectabilityAnalysis out;
   const World w = build_world(model, plan);
   const std::vector<Plane> planes =
-      plan.runtime_verification ? build_planes(model, plan, contracts, w)
-                                : std::vector<Plane>{};
+      plan.runtime_verification
+          ? build_planes(vfb::elaborate(model, plan, contracts), plan,
+                         contracts)
+          : std::vector<Plane>{};
   out.monitors.reserve(planes.size());
   for (const auto& p : planes) out.monitors.push_back(p.pub);
   out.verdicts.reserve(faults.size());
@@ -693,6 +466,7 @@ DetectabilityAnalysis analyze_detectability(
 
 void check_detectability(
     const vfb::Composition& model, const vfb::DeploymentPlan& plan,
+    const vfb::Elaboration& elab,
     const std::map<std::string, contracts::Contract, std::less<>>& contracts,
     Diagnostics& out) {
   // With the rv layer disabled NOTHING is detectable — V10 already flags
@@ -701,7 +475,7 @@ void check_detectability(
   if (!plan.runtime_verification || contracts.empty()) return;
 
   const World w = build_world(model, plan);
-  const std::vector<Plane> planes = build_planes(model, plan, contracts, w);
+  const std::vector<Plane> planes = build_planes(elab, plan, contracts);
   const std::vector<fi::Fault> faults = canonical_faults(contracts, w, model);
 
   for (const auto& f : faults) {
@@ -730,22 +504,19 @@ void check_detectability(
 
   // V15: periodic guarantees imply a heartbeat; without alive supervision
   // the producer's crash is invisible (the one-flag fix for V13's crash
-  // planes). One diagnostic per supervised-able sender key.
+  // planes). One diagnostic per supervised-able sender key: the arrival
+  // monitors' subjects.
   if (!plan.alive_supervision) {
     std::set<std::string> flagged;
-    for (const auto& [instance, contract] : contracts) {
-      for (const auto& g : contract.guarantees) {
-        if (g.timing.period <= 0) continue;
-        for (const auto& key : resolve_flow(model, instance, g.flow)) {
-          if (!flagged.insert(key).second) continue;
-          out.add("V15", Severity::kWarning, key,
-                  "periodic guarantee " + contract.name + "." + g.flow +
-                      " implies a heartbeat, but no watchdog alive "
-                      "supervision is bound to it",
-                  "set DeploymentPlan::alive_supervision = true to "
-                  "supervise contract periods with bsw::WatchdogManager");
-        }
-      }
+    for (const auto& m : elab.monitors) {
+      const auto* a = std::get_if<rv::ArrivalSpec>(&m.spec);
+      if (a == nullptr || !flagged.insert(a->subject).second) continue;
+      out.add("V15", Severity::kWarning, a->subject,
+              "periodic guarantee " + a->contract + "." + m.flow +
+                  " implies a heartbeat, but no watchdog alive "
+                  "supervision is bound to it",
+              "set DeploymentPlan::alive_supervision = true to "
+              "supervise contract periods with bsw::WatchdogManager");
     }
   }
 }

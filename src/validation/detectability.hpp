@@ -7,8 +7,9 @@
 // plane it derives the set of trace observables the fault perturbs (frame
 // delivery, `rte.write`/`rte.deliver` values, task timing, clock skew),
 // propagates value perturbations along the V8 slot dataflow graph, and
-// intersects the result with the monitor inventory vfb::System would
-// compile from the bound contracts:
+// intersects the result with the monitor inventory of the vfb::Elaboration —
+// the specs vfb::System registers — scored with the campaign's own
+// fi::domain_of containment rule:
 //
 //  V13 undetectable fault class — the fault perturbs observables but no
 //      compiled monitor watches any of them (the canonical instance: crash
@@ -40,14 +41,16 @@
 #include "fi/fault.hpp"
 #include "validation/diagnostics.hpp"
 #include "vfb/deployment.hpp"
+#include "vfb/elaboration.hpp"
 #include "vfb/model.hpp"
 
 namespace orte::validation {
 
 /// One compiled runtime-monitor plane, reduced to what detectability needs:
 /// the observable it watches and the instance its violations would blame.
-/// Mirrors vfb::System::build_monitors (plus the alive-supervision planes
-/// System::build_alive_supervision adds when the plan opts in).
+/// Read off the elaboration's monitor specs (deadline planes deduplicated
+/// per instance), plus one alive plane per supervised arrival key when the
+/// plan opts into alive supervision.
 struct MonitorPlane {
   enum class Kind {
     kArrival,       ///< Guarantee period — senses write *timing*.
@@ -106,10 +109,12 @@ struct DetectabilityAnalysis {
 /// (one representative per fault plane the deployment can express: frame
 /// faults and a babbler when cross-ECU edges exist, clock drift per
 /// frame-sourcing ECU, crash/overrun per guaranteeing producer, stuck-at
-/// per constrained guarantee flow). Requires a deployment plan; silent when
-/// the plan disables runtime_verification (V10's jurisdiction).
+/// per constrained guarantee flow). Requires a deployment plan and its
+/// elaboration; silent when the plan disables runtime_verification (V10's
+/// jurisdiction).
 void check_detectability(
     const vfb::Composition& model, const vfb::DeploymentPlan& plan,
+    const vfb::Elaboration& elab,
     const std::map<std::string, contracts::Contract, std::less<>>& contracts,
     Diagnostics& out);
 

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/holistic.hpp"
+#include "vfb/rte.hpp"
 
 namespace orte::validation {
 
@@ -18,10 +18,8 @@ using contracts::Contract;
 using contracts::FlowSpec;
 using contracts::Interval;
 using sim::Duration;
-using vfb::ComponentInstance;
 using vfb::ComponentType;
 using vfb::Connector;
-using vfb::DataAccessKind;
 using vfb::DeploymentPlan;
 using vfb::Port;
 using vfb::PortDirection;
@@ -31,111 +29,12 @@ using vfb::RunnableTrigger;
 
 using ContractMap = std::map<std::string, Contract, std::less<>>;
 
-bool is_write(DataAccessKind k) {
-  return k == DataAccessKind::kImplicitWrite ||
-         k == DataAccessKind::kExplicitWrite;
-}
-
-const Port* find_port(const ComponentType& type, std::string_view name) {
-  for (const auto& p : type.ports) {
-    if (p.name == name) return &p;
-  }
-  return nullptr;
-}
-
 std::string dot(std::string_view a, std::string_view b) {
   return std::string(a) + "." + std::string(b);
-}
-std::string dot(std::string_view a, std::string_view b, std::string_view c) {
-  return dot(a, b) + "." + std::string(c);
-}
-
-/// Slot key "instance.port.element" — same shape as Rte::key, so V8/V12
-/// subjects line up with the runtime trace subjects.
-std::string slot_key(std::string_view instance, std::string_view port,
-                     std::string_view element) {
-  return dot(instance, port, element);
-}
-
-/// "port.element" flow lookup with "port" fallback (the validator/System
-/// convention).
-const FlowSpec* flow_of(const Contract& c, const std::string& port,
-                        const std::string& element, bool assume) {
-  const std::string qualified = port + "." + element;
-  const FlowSpec* f = assume ? c.assumption(qualified) : c.guarantee(qualified);
-  if (f == nullptr) f = assume ? c.assumption(port) : c.guarantee(port);
-  return f;
-}
-
-struct SplitFlow {
-  std::string port;
-  std::string element;  ///< Empty = every element of the port.
-};
-SplitFlow split_flow(const std::string& flow) {
-  const auto d = flow.find('.');
-  if (d == std::string::npos) return {flow, {}};
-  return {flow.substr(0, d), flow.substr(d + 1)};
-}
-
-bool unconstrained(const Interval& r) {
-  return r.lo == std::numeric_limits<std::int64_t>::min() &&
-         r.hi == std::numeric_limits<std::int64_t>::max();
 }
 
 std::string interval_str(const Interval& r) {
   return "[" + std::to_string(r.lo) + ", " + std::to_string(r.hi) + "]";
-}
-
-const ComponentType* type_of(const vfb::Composition& model,
-                             const std::string& instance) {
-  const ComponentInstance* inst = model.find_instance(instance);
-  return inst == nullptr ? nullptr : model.find_type(inst->type);
-}
-
-/// Sender-receiver interface of (instance, port), or null when anything on
-/// the way does not resolve (rule V1/V2 territory — these passes stay
-/// silent there).
-const PortInterface* sr_interface(const vfb::Composition& model,
-                                  const std::string& instance,
-                                  const std::string& port,
-                                  const Port** port_out = nullptr) {
-  const ComponentType* type = type_of(model, instance);
-  if (type == nullptr) return nullptr;
-  const Port* p = find_port(*type, port);
-  if (p == nullptr) return nullptr;
-  const PortInterface* iface = model.find_interface(p->interface);
-  if (iface == nullptr || iface->kind != PortInterface::Kind::kSenderReceiver) {
-    return nullptr;
-  }
-  if (port_out != nullptr) *port_out = p;
-  return iface;
-}
-
-/// Model-only mirror of System::resolve_flow — which "rte.write" sender keys
-/// a contract flow of `instance` would resolve to (empty = nothing routable,
-/// so no monitor would be compiled from the clause).
-std::vector<std::string> resolve_flow(const vfb::Composition& model,
-                                      const std::string& instance,
-                                      const std::string& flow) {
-  const SplitFlow f = split_flow(flow);
-  const Port* p = nullptr;
-  const PortInterface* iface = sr_interface(model, instance, f.port, &p);
-  if (iface == nullptr) return {};
-
-  std::string src_instance = instance;
-  std::string src_port = f.port;
-  if (p->direction == PortDirection::kRequired) {
-    const Connector* conn = model.connection_to(instance, f.port);
-    if (conn == nullptr) return {};
-    src_instance = conn->from_instance;
-    src_port = conn->from_port;
-  }
-  std::vector<std::string> subjects;
-  for (const auto& elem : iface->elements) {
-    if (!f.element.empty() && elem.name != f.element) continue;
-    subjects.push_back(slot_key(src_instance, src_port, elem.name));
-  }
-  return subjects;
 }
 
 // ---------------------------------------------------------------------------
@@ -175,71 +74,10 @@ AbsVal join(const AbsVal& a, const AbsVal& b) {
   return out;
 }
 
-/// One runnable's dataflow footprint: the slots it reads (data accesses plus
-/// its data-received trigger) and the slots it writes.
-struct RunnableFlow {
-  const std::string* instance;
-  const Runnable* runnable;
-  std::vector<std::string> reads;
-  std::vector<std::string> writes;
-  /// Provided-port (port, element) per written slot, parallel to `writes`.
-  std::vector<std::pair<std::string, std::string>> write_ports;
-};
-
-struct FlowGraph {
-  std::vector<RunnableFlow> runnables;
-  /// Connector edges between slots: from provided slot to required slot.
-  std::vector<std::pair<std::string, std::string>> edges;
-  /// Written slot -> is it written at all (for V3-overlap guards).
-  std::set<std::string> written;
-  /// Required slots that have a feeding connector.
-  std::set<std::string> fed;
-};
-
-FlowGraph build_flow_graph(const vfb::Composition& model) {
-  FlowGraph g;
-  for (const auto& inst : model.instances()) {
-    const ComponentType* type = type_of(model, inst.name);
-    if (type == nullptr) continue;
-    for (const auto& r : type->runnables) {
-      RunnableFlow rf;
-      rf.instance = &inst.name;
-      rf.runnable = &r;
-      for (const auto& acc : r.accesses) {
-        const std::string key = slot_key(inst.name, acc.port, acc.element);
-        if (is_write(acc.kind)) {
-          rf.writes.push_back(key);
-          rf.write_ports.emplace_back(acc.port, acc.element);
-          g.written.insert(key);
-        } else {
-          rf.reads.push_back(key);
-        }
-      }
-      if (r.trigger.kind == RunnableTrigger::Kind::kDataReceived) {
-        rf.reads.push_back(
-            slot_key(inst.name, r.trigger.port, r.trigger.element));
-      }
-      g.runnables.push_back(std::move(rf));
-    }
-  }
-  for (const auto& c : model.connectors()) {
-    const PortInterface* iface =
-        sr_interface(model, c.from_instance, c.from_port);
-    if (iface == nullptr) continue;
-    for (const auto& elem : iface->elements) {
-      g.edges.emplace_back(slot_key(c.from_instance, c.from_port, elem.name),
-                           slot_key(c.to_instance, c.to_port, elem.name));
-      g.fed.insert(slot_key(c.to_instance, c.to_port, elem.name));
-    }
-  }
-  return g;
-}
-
 /// Interval fixpoint over the graph. Monotone in the (Bottom < intervals <
 /// Top) lattice with hull joins over the finite set of guarantee endpoints,
 /// so it converges.
-std::map<std::string, AbsVal> propagate_ranges(const vfb::Composition& model,
-                                               const ContractMap& contracts,
+std::map<std::string, AbsVal> propagate_ranges(const ContractMap& contracts,
                                                const FlowGraph& g) {
   std::map<std::string, AbsVal> val;
   const auto get = [&](const std::string& key) -> AbsVal {
@@ -269,7 +107,7 @@ std::map<std::string, AbsVal> propagate_ranges(const vfb::Composition& model,
                 ? nullptr
                 : flow_of(cit->second, rf.write_ports[i].first,
                           rf.write_ports[i].second, /*assume=*/false);
-        if (guarantee != nullptr && !unconstrained(guarantee->range)) {
+        if (guarantee != nullptr && !guarantee->range.unbounded()) {
           raise(rf.writes[i],
                 AbsVal::interval(guarantee->range,
                                  "guarantee " + cit->second.name + "." +
@@ -287,156 +125,14 @@ std::map<std::string, AbsVal> propagate_ranges(const vfb::Composition& model,
         if (relay.kind != AbsVal::Kind::kBottom) raise(rf.writes[i], relay);
       }
     }
-    for (const auto& [from, to] : g.edges) raise(to, get(from));
+    for (const auto& e : g.edges) raise(e.to, get(e.from));
   }
   return val;
 }
 
 // ---------------------------------------------------------------------------
-// V9: generator mirror + holistic fixpoint.
+// V9: holistic fixpoint over the elaborated tasks.
 // ---------------------------------------------------------------------------
-
-std::string periodic_task_name(const std::string& instance, Duration period) {
-  return "tk|" + instance + "|" + std::to_string(period);
-}
-std::string event_task_name(const std::string& instance,
-                            const std::string& runnable) {
-  return "tk|" + instance + "|" + runnable;
-}
-
-/// Mirror of System::inlined_wcet, lenient on unresolvable calls (those are
-/// V1/V2 errors, not this pass's business).
-Duration inlined_wcet(const vfb::Composition& model,
-                      const std::string& instance, const Runnable& r) {
-  const ComponentType* type = type_of(model, instance);
-  if (type == nullptr) return 0;
-  Duration inlined = 0;
-  for (const auto& call : r.server_calls) {
-    const auto sep = call.find('.');
-    if (sep == std::string::npos) continue;
-    const Port* p = find_port(*type, call.substr(0, sep));
-    if (p == nullptr) continue;
-    const PortInterface* iface = model.find_interface(p->interface);
-    if (iface == nullptr) continue;
-    for (const auto& op : iface->operations) {
-      if (op.name == call.substr(sep + 1)) inlined += op.wcet;
-    }
-  }
-  return inlined;
-}
-
-Duration runnable_wcet(const vfb::Composition& model,
-                       const std::string& instance, const Runnable& r) {
-  Duration w = r.wcet_bound;
-  if (w <= 0 && r.execution_time) w = r.execution_time();
-  return w + inlined_wcet(model, instance, r);
-}
-
-/// The generator mirror: every task the deployment would emit, plus the
-/// writer-task index used to root chains.
-struct GeneratedTasks {
-  std::vector<analysis::DistTask> tasks;
-  /// (instance, runnable) -> event task name for data-received runnables.
-  std::map<std::pair<std::string, std::string>, std::string> event_task;
-  /// Smallest-period task writing slot (instance, port, element).
-  std::map<std::string, std::string> writer_task;
-};
-
-GeneratedTasks derive_tasks(const vfb::Composition& model,
-                            const DeploymentPlan& plan) {
-  GeneratedTasks out;
-  std::set<std::string> ecus;
-  for (const auto& [_, dep] : plan.instances) ecus.insert(dep.ecu);
-
-  for (const auto& ecu : ecus) {
-    struct Group {
-      std::string instance;
-      Duration period = 0;
-      Duration wcet = 0;
-    };
-    std::vector<Group> groups;
-    for (const auto& inst : model.instances()) {
-      const auto dep = plan.instances.find(inst.name);
-      if (dep == plan.instances.end() || dep->second.ecu != ecu) continue;
-      const ComponentType* type = type_of(model, inst.name);
-      if (type == nullptr) continue;
-      for (const auto& r : type->runnables) {
-        switch (r.trigger.kind) {
-          case RunnableTrigger::Kind::kTiming: {
-            auto git = std::find_if(groups.begin(), groups.end(),
-                                    [&](const Group& g) {
-                                      return g.instance == inst.name &&
-                                             g.period == r.trigger.period;
-                                    });
-            if (git == groups.end()) {
-              groups.push_back(Group{inst.name, r.trigger.period, 0});
-              git = groups.end() - 1;
-            }
-            git->wcet += runnable_wcet(model, inst.name, r);
-            break;
-          }
-          case RunnableTrigger::Kind::kDataReceived: {
-            analysis::DistTask t;
-            t.name = event_task_name(inst.name, r.name);
-            t.ecu = ecu;
-            t.wcet = runnable_wcet(model, inst.name, r);
-            t.period = 0;  // inherited through the chain
-            t.priority = plan.data_task_priority;
-            out.event_task[{inst.name, r.name}] = t.name;
-            out.tasks.push_back(std::move(t));
-            break;
-          }
-          case RunnableTrigger::Kind::kInit:
-            break;  // runs once before start; no task
-        }
-      }
-    }
-    std::sort(groups.begin(), groups.end(), [](const Group& a, const Group& b) {
-      if (a.period != b.period) return a.period < b.period;
-      return a.instance < b.instance;
-    });
-    int rank = 0;
-    for (const auto& g : groups) {
-      analysis::DistTask t;
-      t.name = periodic_task_name(g.instance, g.period);
-      t.ecu = ecu;
-      t.wcet = g.wcet;
-      t.period = g.period;
-      t.priority = vfb::kPeriodicBasePriority - rank++;
-      out.tasks.push_back(std::move(t));
-    }
-  }
-
-  // Which task publishes each written slot: the smallest-period timing
-  // runnable wins (System::writer_period semantics); event-relay writers
-  // root in their event task.
-  for (const auto& inst : model.instances()) {
-    if (plan.instances.find(inst.name) == plan.instances.end()) continue;
-    const ComponentType* type = type_of(model, inst.name);
-    if (type == nullptr) continue;
-    std::map<std::string, Duration> best_period;
-    for (const auto& r : type->runnables) {
-      for (const auto& acc : r.accesses) {
-        if (!is_write(acc.kind)) continue;
-        const std::string key = slot_key(inst.name, acc.port, acc.element);
-        if (r.trigger.kind == RunnableTrigger::Kind::kTiming &&
-            r.trigger.period > 0) {
-          const auto bit = best_period.find(key);
-          if (bit == best_period.end() || r.trigger.period < bit->second) {
-            best_period[key] = r.trigger.period;
-            out.writer_task[key] =
-                periodic_task_name(inst.name, r.trigger.period);
-          }
-        } else if (r.trigger.kind == RunnableTrigger::Kind::kDataReceived &&
-                   best_period.find(key) == best_period.end() &&
-                   out.writer_task.find(key) == out.writer_task.end()) {
-          out.writer_task[key] = event_task_name(inst.name, r.name);
-        }
-      }
-    }
-  }
-  return out;
-}
 
 /// One activation edge of the generated system: the writer's task to a
 /// data-received consumer, carried by the bus (cross-ECU) or directly
@@ -452,7 +148,7 @@ struct ChainEdge {
 
 std::vector<ChainEdge> derive_edges(const vfb::Composition& model,
                                     const DeploymentPlan& plan,
-                                    const GeneratedTasks& gen) {
+                                    const vfb::Elaboration& elab) {
   std::vector<ChainEdge> edges;
   std::set<std::tuple<std::string, std::string, std::string>> seen;
   for (const auto& c : model.connectors()) {
@@ -462,16 +158,20 @@ std::vector<ChainEdge> derive_edges(const vfb::Composition& model,
       continue;
     }
     const PortInterface* iface =
-        sr_interface(model, c.from_instance, c.from_port);
+        model.find_sr_interface(c.from_instance, c.from_port);
     if (iface == nullptr) continue;
-    const ComponentType* to_type = type_of(model, c.to_instance);
+    const ComponentType* to_type = model.find_type_of(c.to_instance);
     if (to_type == nullptr) continue;
     const bool cross = from_dep->second.ecu != to_dep->second.ecu;
     for (const auto& elem : iface->elements) {
       const std::string sender_key =
-          slot_key(c.from_instance, c.from_port, elem.name);
-      const auto wit = gen.writer_task.find(sender_key);
-      if (wit == gen.writer_task.end()) continue;  // never written (V3)
+          vfb::Rte::key(c.from_instance, c.from_port, elem.name);
+      const auto wit = elab.writer_task.find(sender_key);
+      if (wit == elab.writer_task.end()) continue;  // never written (V3)
+      const vfb::ElaboratedTask& writer = elab.tasks[wit->second];
+      // Rate-monotonic frame order by the writer's period.
+      const Duration sort_period =
+          writer.period > 0 ? writer.period : sim::kForever;
       // Consuming event tasks of this element on the receiver.
       bool any_event = false;
       for (const auto& r : to_type->runnables) {
@@ -479,41 +179,24 @@ std::vector<ChainEdge> derive_edges(const vfb::Composition& model,
             r.trigger.port != c.to_port || r.trigger.element != elem.name) {
           continue;
         }
-        const auto eit = gen.event_task.find({c.to_instance, r.name});
-        if (eit == gen.event_task.end()) continue;
+        const vfb::ElaboratedTask* consumer =
+            elab.task_for(c.to_instance, r.name);
+        if (consumer == nullptr) continue;
         any_event = true;
-        if (!seen.insert({sender_key, wit->second, eit->second}).second) {
+        if (!seen.insert({sender_key, writer.name, consumer->name}).second) {
           continue;
         }
-        ChainEdge e;
-        e.sender_key = sender_key;
-        e.from_task = wit->second;
-        e.to_task = eit->second;
-        e.to_ecu = to_dep->second.ecu;
-        e.cross_ecu = cross;
-        edges.push_back(std::move(e));
+        edges.push_back(ChainEdge{sender_key, writer.name, consumer->name,
+                                  to_dep->second.ecu, cross, sort_period});
       }
       // Cross-ECU delivery without an event consumer still loads the bus.
       if (cross && !any_event &&
-          seen.insert({sender_key, wit->second, "ecu:" + to_dep->second.ecu})
+          seen.insert({sender_key, writer.name, "ecu:" + to_dep->second.ecu})
               .second) {
-        ChainEdge e;
-        e.sender_key = sender_key;
-        e.from_task = wit->second;
-        e.to_ecu = to_dep->second.ecu;
-        e.cross_ecu = true;
-        edges.push_back(std::move(e));
+        edges.push_back(ChainEdge{sender_key, writer.name, {},
+                                  to_dep->second.ecu, true, sort_period});
       }
     }
-  }
-  // Frame-id ordering mirror: rate-monotonic by the writer's period.
-  std::map<std::string, Duration> task_period;
-  for (const auto& t : gen.tasks) {
-    task_period[t.name] = t.period > 0 ? t.period : sim::kForever;
-  }
-  for (auto& e : edges) {
-    const auto it = task_period.find(e.from_task);
-    if (it != task_period.end()) e.sort_period = it->second;
   }
   std::sort(edges.begin(), edges.end(),
             [](const ChainEdge& a, const ChainEdge& b) {
@@ -531,18 +214,82 @@ std::vector<ChainEdge> derive_edges(const vfb::Composition& model,
 
 }  // namespace
 
+FlowGraph build_flow_graph(const vfb::Composition& model) {
+  FlowGraph g;
+  for (const auto& inst : model.instances()) {
+    const ComponentType* type = model.find_type_of(inst.name);
+    if (type == nullptr) continue;
+    for (const auto& r : type->runnables) {
+      RunnableFlow rf;
+      rf.instance = &inst.name;
+      rf.runnable = &r;
+      for (const auto& acc : r.accesses) {
+        const std::string key = vfb::Rte::key(inst.name, acc.port, acc.element);
+        if (vfb::is_write(acc.kind)) {
+          rf.writes.push_back(key);
+          rf.write_ports.emplace_back(acc.port, acc.element);
+          g.written.insert(key);
+        } else {
+          rf.reads.push_back(key);
+        }
+      }
+      if (r.trigger.kind == RunnableTrigger::Kind::kDataReceived) {
+        rf.reads.push_back(
+            vfb::Rte::key(inst.name, r.trigger.port, r.trigger.element));
+      }
+      g.runnables.push_back(std::move(rf));
+    }
+  }
+  for (const auto& c : model.connectors()) {
+    const PortInterface* iface =
+        model.find_sr_interface(c.from_instance, c.from_port);
+    if (iface == nullptr) continue;
+    for (const auto& elem : iface->elements) {
+      g.edges.push_back({vfb::Rte::key(c.from_instance, c.from_port, elem.name),
+                         vfb::Rte::key(c.to_instance, c.to_port, elem.name),
+                         &c});
+      g.fed.insert(g.edges.back().to);
+    }
+  }
+  return g;
+}
+
+const FlowSpec* flow_of(const Contract& c, const std::string& port,
+                        const std::string& element, bool assume) {
+  const std::string qualified = port + "." + element;
+  const FlowSpec* f = assume ? c.assumption(qualified) : c.guarantee(qualified);
+  if (f == nullptr) f = assume ? c.assumption(port) : c.guarantee(port);
+  return f;
+}
+
+bool has_latency_assumptions(const ContractMap& contracts) {
+  for (const auto& [_, contract] : contracts) {
+    for (const auto& a : contract.assumptions) {
+      if (a.timing.latency > 0) return true;
+    }
+  }
+  return false;
+}
+
 ChainAnalysis analyze_chains(const vfb::Composition& model,
                              const DeploymentPlan& plan,
                              const ContractMap& contracts) {
+  return analyze_chains(model, plan, vfb::elaborate(model, plan, contracts),
+                        contracts);
+}
+
+ChainAnalysis analyze_chains(const vfb::Composition& model,
+                             const DeploymentPlan& plan,
+                             const vfb::Elaboration& elab,
+                             const ContractMap& contracts) {
   ChainAnalysis out;
-  const GeneratedTasks gen = derive_tasks(model, plan);
-  const std::vector<ChainEdge> edges = derive_edges(model, plan, gen);
+  const std::vector<ChainEdge> edges = derive_edges(model, plan, elab);
 
   // Periods must be derivable: chain heads carry their own, everything else
   // inherits through the edges. Tasks that stay period-free (event tasks
   // nothing ever activates — V3/V12 territory) are excluded from the model.
   std::map<std::string, Duration> period;
-  for (const auto& t : gen.tasks) period[t.name] = t.period;
+  for (const auto& t : elab.tasks) period[t.name] = t.period;
   bool changed = true;
   while (changed) {
     changed = false;
@@ -557,13 +304,12 @@ ChainAnalysis analyze_chains(const vfb::Composition& model,
     }
   }
   std::set<std::string> included;
-  for (const auto& t : gen.tasks) {
-    if (period.at(t.name) > 0) included.insert(t.name);
-  }
-
   analysis::HolisticModel holistic;
-  for (const auto& t : gen.tasks) {
-    if (included.count(t.name)) holistic.add_task(t);
+  for (const auto& t : elab.tasks) {
+    if (period.at(t.name) <= 0) continue;
+    included.insert(t.name);
+    holistic.add_task({.name = t.name, .ecu = t.ecu, .wcet = t.wcet,
+                       .period = t.period, .priority = t.priority});
   }
   std::uint32_t next_id = plan.can_base_id;
   std::map<std::string, std::vector<std::string>> msgs_of_sender;
@@ -571,11 +317,14 @@ ChainAnalysis analyze_chains(const vfb::Composition& model,
     if (!included.count(e.from_task)) continue;
     if (!e.to_task.empty() && !included.count(e.to_task)) continue;
     if (e.cross_ecu) {
+      // Unpacked, one message per edge at the CAN maximum payload: more
+      // frames than the generator's PDU packing emits, so the bound can
+      // only be conservative.
       analysis::DistMessage m;
       m.name = "msg|" + e.sender_key + "|" +
                (e.to_task.empty() ? e.to_ecu : e.to_task);
       m.id = next_id++;
-      m.bytes = 8;  // CAN maximum payload — conservative for any element
+      m.bytes = 8;
       m.from_task = e.from_task;
       m.to_task = e.to_task;
       msgs_of_sender[e.sender_key].push_back(m.name);
@@ -589,12 +338,10 @@ ChainAnalysis analyze_chains(const vfb::Composition& model,
   if (plan.bus == vfb::BusKind::kCan) {
     bus.can_bitrate_bps = plan.can.bitrate_bps;
   } else {
+    // The FlexRay configuration the generator builds; the holistic model
+    // grows the slot count further to one slot per message.
     bus.use_flexray = true;
-    bus.flexray = plan.flexray;
-    // Mirror the generator's config adjustment (System::build raises the
-    // payload floor; the slot count is raised inside the holistic model).
-    bus.flexray.static_payload_bytes =
-        std::max<std::size_t>(bus.flexray.static_payload_bytes, 8);
+    bus.flexray = elab.flexray;
   }
   const analysis::HolisticResult result = holistic.analyze(bus);
   out.schedulable = result.schedulable;
@@ -609,22 +356,11 @@ ChainAnalysis analyze_chains(const vfb::Composition& model,
       cb.instance = instance;
       cb.flow = a.flow;
       cb.deadline = a.timing.latency;
-
-      const SplitFlow f = split_flow(a.flow);
-      const ComponentType* type = type_of(model, instance);
-      if (type == nullptr) {
-        out.bounds.push_back(std::move(cb));
-        continue;
-      }
-      // The chain tail: the data-received runnable this flow activates
-      // (same selection as System::build_monitors' sink_detail).
-      for (const auto& r : type->runnables) {
-        if (r.trigger.kind == RunnableTrigger::Kind::kDataReceived &&
-            r.trigger.port == f.port &&
-            (f.element.empty() || r.trigger.element == f.element)) {
-          const auto eit = gen.event_task.find({instance, r.name});
-          if (eit != gen.event_task.end()) cb.sink_task = eit->second;
-        }
+      // The chain tail: the event task of the data-received runnable this
+      // flow activates (the LatencyMonitor's sink).
+      if (const Runnable* sink = vfb::flow_sink(model, instance, a.flow)) {
+        const vfb::ElaboratedTask* t = elab.task_for(instance, sink->name);
+        if (t != nullptr) cb.sink_task = t->name;
       }
       if (result.schedulable) {
         if (!cb.sink_task.empty() && included.count(cb.sink_task)) {
@@ -635,7 +371,8 @@ ChainAnalysis analyze_chains(const vfb::Composition& model,
           // or at the producer's publication (same ECU).
           Duration worst = 0;
           bool found = false;
-          for (const auto& subject : resolve_flow(model, instance, a.flow)) {
+          for (const auto& subject :
+               vfb::resolve_flow(model, instance, a.flow)) {
             const auto mit = msgs_of_sender.find(subject);
             if (mit != msgs_of_sender.end()) {
               for (const auto& mname : mit->second) {
@@ -644,10 +381,11 @@ ChainAnalysis analyze_chains(const vfb::Composition& model,
               }
               continue;
             }
-            const auto wit = gen.writer_task.find(subject);
-            if (wit != gen.writer_task.end() &&
-                included.count(wit->second)) {
-              worst = std::max(worst, result.task_response.at(wit->second));
+            const auto wit = elab.writer_task.find(subject);
+            if (wit == elab.writer_task.end()) continue;
+            const std::string& writer = elab.tasks[wit->second].name;
+            if (included.count(writer)) {
+              worst = std::max(worst, result.task_response.at(writer));
               found = true;
             }
           }
@@ -665,7 +403,7 @@ void check_flow_ranges(const vfb::Composition& model,
                        const ContractMap& contracts, Diagnostics& out) {
   const FlowGraph g = build_flow_graph(model);
   const std::map<std::string, AbsVal> val =
-      propagate_ranges(model, contracts, g);
+      propagate_ranges(contracts, g);
   const auto value = [&](const std::string& key) -> AbsVal {
     const auto it = val.find(key);
     return it == val.end() ? AbsVal::bottom() : it->second;
@@ -674,10 +412,11 @@ void check_flow_ranges(const vfb::Composition& model,
   // --- V8: every constrained assumption against the propagated hull -------
   for (const auto& [instance, contract] : contracts) {
     for (const auto& a : contract.assumptions) {
-      if (unconstrained(a.range)) continue;
-      const SplitFlow f = split_flow(a.flow);
+      if (a.range.unbounded()) continue;
+      const vfb::FlowName f = vfb::split_flow(a.flow);
       const Port* p = nullptr;
-      const PortInterface* iface = sr_interface(model, instance, f.port, &p);
+      const PortInterface* iface =
+          model.find_sr_interface(instance, f.port, &p);
       if (iface == nullptr || p->direction != PortDirection::kRequired) {
         continue;
       }
@@ -693,7 +432,7 @@ void check_flow_ranges(const vfb::Composition& model,
                     /*assume=*/false) != nullptr) {
           continue;
         }
-        const std::string key = slot_key(instance, f.port, elem.name);
+        const std::string key = vfb::Rte::key(instance, f.port, elem.name);
         const AbsVal v = value(key);
         const std::string subject = key;
         switch (v.kind) {
@@ -752,7 +491,7 @@ void check_flow_ranges(const vfb::Composition& model,
       for (const auto& read : rf.reads) produces = produces || prod(read);
       for (const auto& w : rf.writes) raise(w, produces);
     }
-    for (const auto& [from, to] : g.edges) raise(to, prod(from));
+    for (const auto& e : g.edges) raise(e.to, prod(e.from));
   }
   // Backward: does a written value ever reach a terminal consumer? A reader
   // that writes nothing consumes; a relay consumes iff something it writes
@@ -776,7 +515,7 @@ void check_flow_ranges(const vfb::Composition& model,
       for (const auto& w : rf.writes) consumes = consumes || cons(w);
       for (const auto& read : rf.reads) raise(read, consumes);
     }
-    for (const auto& [from, to] : g.edges) raise(from, cons(to));
+    for (const auto& e : g.edges) raise(e.from, cons(e.to));
   }
 
   // Fire only where V3 stays silent: the immediate link is fine, the chain
@@ -788,8 +527,8 @@ void check_flow_ranges(const vfb::Composition& model,
       // The feeding slot must itself be written (else V3 flags the element
       // as never written) — V12 adds the *transitive* case.
       bool fed_by_written = false;
-      for (const auto& [from, to] : g.edges) {
-        if (to == read && g.written.count(from)) fed_by_written = true;
+      for (const auto& e : g.edges) {
+        if (e.to == read && g.written.count(e.from)) fed_by_written = true;
       }
       if (!fed_by_written) continue;
       if (!reported.insert(read).second) continue;
@@ -807,11 +546,11 @@ void check_flow_ranges(const vfb::Composition& model,
       // Only when the write is connected and its elements are read by the
       // immediate receiver (both V3-silent): the dead end is further down.
       bool delivered_and_read = false;
-      for (const auto& [from, to] : g.edges) {
-        if (from != w) continue;
+      for (const auto& e : g.edges) {
+        if (e.from != w) continue;
         for (const auto& other : g.runnables) {
           for (const auto& read : other.reads) {
-            if (read == to) delivered_and_read = true;
+            if (read == e.to) delivered_and_read = true;
           }
         }
       }
@@ -826,17 +565,7 @@ void check_flow_ranges(const vfb::Composition& model,
   }
 }
 
-void check_chain_deadlines(const vfb::Composition& model,
-                           const DeploymentPlan& plan,
-                           const ContractMap& contracts, Diagnostics& out) {
-  bool any = false;
-  for (const auto& [_, contract] : contracts) {
-    for (const auto& a : contract.assumptions) {
-      if (a.timing.latency > 0) any = true;
-    }
-  }
-  if (!any) return;
-  const ChainAnalysis chains = analyze_chains(model, plan, contracts);
+void check_chain_deadlines(const ChainAnalysis& chains, Diagnostics& out) {
   for (const auto& b : chains.bounds) {
     const std::string subject = dot(b.instance, b.flow);
     if (!b.computable) {
@@ -879,10 +608,11 @@ void check_monitor_coverage(const vfb::Composition& model,
   for (const auto& [instance, contract] : contracts) {
     if (model.find_instance(instance) == nullptr) continue;  // V1's finding
     for (const auto& g : contract.guarantees) {
-      const bool timed = g.timing.period > 0;
-      if (timed) {
+      const bool unresolved =
+          vfb::resolve_flow(model, instance, g.flow).empty();
+      if (g.timing.period > 0) {
         ++obligations;
-        if (resolve_flow(model, instance, g.flow).empty()) {
+        if (unresolved) {
           out.add("V10", Severity::kWarning, dot(instance, g.flow),
                   "arrival guarantee of contract " + contract.name +
                       " resolves to no traced flow: no monitor will watch it",
@@ -890,9 +620,9 @@ void check_monitor_coverage(const vfb::Composition& model,
                   "connect the port");
         }
       }
-      if (!unconstrained(g.range)) {
+      if (!g.range.unbounded()) {
         ++obligations;
-        if (resolve_flow(model, instance, g.flow).empty()) {
+        if (unresolved) {
           out.add("V10", Severity::kWarning, dot(instance, g.flow),
                   "value-range guarantee of contract " + contract.name +
                       " resolves to no traced flow: no range monitor will "
@@ -904,11 +634,11 @@ void check_monitor_coverage(const vfb::Composition& model,
     }
     for (const auto& a : contract.assumptions) {
       const bool latency_bound = a.timing.latency > 0;
-      const bool value_bound = !unconstrained(a.range);
+      const bool value_bound = !a.range.unbounded();
       if (!latency_bound && !value_bound) continue;
       if (latency_bound) ++obligations;
       if (value_bound) ++obligations;
-      if (resolve_flow(model, instance, a.flow).empty()) {
+      if (vfb::resolve_flow(model, instance, a.flow).empty()) {
         out.add("V10", Severity::kWarning, dot(instance, a.flow),
                 (latency_bound ? std::string("latency")
                                : std::string("value-range")) +
@@ -922,7 +652,7 @@ void check_monitor_coverage(const vfb::Composition& model,
       ++obligations;
       bool any_label = false;
       for (const auto& binding : contract.behaviour->bindings) {
-        if (!resolve_flow(model, instance, binding.flow).empty()) {
+        if (!vfb::resolve_flow(model, instance, binding.flow).empty()) {
           any_label = true;
         }
       }
@@ -947,13 +677,14 @@ void check_monitor_coverage(const vfb::Composition& model,
 
 void check_resource_budgets(const vfb::Composition& model,
                             const DeploymentPlan& plan,
+                            const vfb::Elaboration& elab,
                             const ContractMap& contracts, Diagnostics& out) {
   // Generated per-instance CPU share: periodic runnables' wcet/period on the
   // instance's ECU (event tasks inherit chain periods and are judged by V9).
   std::map<std::string, double> measured;
   for (const auto& inst : model.instances()) {
     if (plan.instances.find(inst.name) == plan.instances.end()) continue;
-    const ComponentType* type = type_of(model, inst.name);
+    const ComponentType* type = model.find_type_of(inst.name);
     if (type == nullptr) continue;
     double u = 0.0;
     for (const auto& r : type->runnables) {
@@ -961,8 +692,14 @@ void check_resource_budgets(const vfb::Composition& model,
           r.trigger.period <= 0) {
         continue;
       }
-      u += static_cast<double>(runnable_wcet(model, inst.name, r)) /
-           static_cast<double>(r.trigger.period);
+      const vfb::ElaboratedTask* t = elab.task_for(inst.name, r.name);
+      if (t == nullptr) continue;
+      for (const auto& tr : t->runnables) {
+        if (tr.runnable == &r) {
+          u += static_cast<double>(tr.wcet) /
+               static_cast<double>(r.trigger.period);
+        }
+      }
     }
     measured[inst.name] = u;
   }

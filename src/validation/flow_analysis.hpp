@@ -10,15 +10,17 @@
 //                                unconstrained transitive sources that no
 //                                pairwise check can see.
 //  V9  end-to-end deadlines    — the holistic fixpoint (analysis::
-//                                HolisticModel) over the exact task/message
-//                                set the generator would emit, including
-//                                data-received event tasks and FlexRay
-//                                static-slot hops; each latency assumption
-//                                is compared against the computed bound.
+//                                HolisticModel) over the tasks of the
+//                                vfb::Elaboration, including data-received
+//                                event tasks and FlexRay static-slot hops;
+//                                each latency assumption is compared against
+//                                the computed bound.
 //  V10 monitor coverage        — which contract obligations the rv layer
-//                                (vfb::System::build_monitors) would actually
-//                                watch at runtime; obligations that resolve
-//                                to no monitor are certified by nothing.
+//                                would actually watch at runtime (through
+//                                vfb::resolve_flow, the resolution the
+//                                elaborated monitor specs use); obligations
+//                                that resolve to no monitor are certified by
+//                                nothing.
 //  V11 budget consistency      — generated per-instance load and per-ECU /
 //                                per-bus sums against the contracts'
 //                                vertical ResourceSpec assumptions.
@@ -28,18 +30,23 @@
 //                                dead-end in relay chains (both only where
 //                                the local rule V3 stays silent).
 //
-// analyze_chains() is shared with vfb::System so the static V9 bound is
-// recorded next to each LatencyMonitor threshold — the bound >= observed
-// cross-check that certifies the dynamic layer against the static one.
+// analyze_chains() is shared with vfb::System, which runs it once per build
+// over its own elaboration: strict validation judges the result (V9) and the
+// same bounds are recorded next to each LatencyMonitor threshold — the
+// bound >= observed cross-check that certifies the dynamic layer against the
+// static one.
 #pragma once
 
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "contracts/contract.hpp"
 #include "validation/diagnostics.hpp"
 #include "vfb/deployment.hpp"
+#include "vfb/elaboration.hpp"
 #include "vfb/model.hpp"
 
 namespace orte::validation {
@@ -69,16 +76,61 @@ struct ChainAnalysis {
   std::vector<ChainBound> bounds;  ///< One entry per latency assumption.
 };
 
-/// Mirror the generator's task/message derivation (one task per (instance,
-/// period), one event task per data-received runnable, one bus message per
-/// cross-ECU signal receiver) and run the holistic fixpoint over it. The
-/// mirror is conservative where it simplifies: signals are analyzed
-/// unpacked (more frames than the generator's PDU packing emits), and
-/// FlexRay slot counts grow with the message count (a longer cycle can only
-/// raise the bound).
+/// Fold the elaborated tasks and writer tasks into the holistic fixpoint and
+/// bound every latency assumption. The bus model is deliberately
+/// conservative: one 8-byte message per cross-ECU activation edge (more
+/// frames than the generator's PDU packing emits), and a FlexRay slot count
+/// that grows with the message count (a longer cycle can only raise the
+/// bound).
 [[nodiscard]] ChainAnalysis analyze_chains(
     const vfb::Composition& model, const vfb::DeploymentPlan& plan,
     const std::map<std::string, contracts::Contract, std::less<>>& contracts);
+/// The same over an elaboration of (model, plan) the caller already holds.
+[[nodiscard]] ChainAnalysis analyze_chains(
+    const vfb::Composition& model, const vfb::DeploymentPlan& plan,
+    const vfb::Elaboration& elab,
+    const std::map<std::string, contracts::Contract, std::less<>>& contracts);
+
+/// True when some contract carries a latency assumption (the only clauses
+/// analyze_chains bounds).
+[[nodiscard]] bool has_latency_assumptions(
+    const std::map<std::string, contracts::Contract, std::less<>>& contracts);
+
+/// One runnable's dataflow footprint: the slots it reads (data accesses plus
+/// its data-received trigger) and the slots it writes.
+struct RunnableFlow {
+  const std::string* instance = nullptr;
+  const vfb::Runnable* runnable = nullptr;
+  std::vector<std::string> reads;
+  std::vector<std::string> writes;
+  /// Provided-port (port, element) per written slot, parallel to `writes`.
+  std::vector<std::pair<std::string, std::string>> write_ports;
+};
+
+/// One connector element: from the provided slot to the required slot.
+struct SlotEdge {
+  std::string from;
+  std::string to;
+  const vfb::Connector* connector = nullptr;
+};
+
+/// The slot dataflow graph (slot keys have Rte::key's shape, so subjects line
+/// up with the runtime trace). Built by V8/V12 and the detectability
+/// analysis (V13–V15) alike.
+struct FlowGraph {
+  std::vector<RunnableFlow> runnables;
+  std::vector<SlotEdge> edges;
+  std::set<std::string> written;  ///< Slots some runnable writes.
+  std::set<std::string> fed;      ///< Required slots a connector feeds.
+};
+[[nodiscard]] FlowGraph build_flow_graph(const vfb::Composition& model);
+
+/// The FlowSpec a contract declares for (port, element): the "port.element"
+/// clause, else the whole-port "port" clause; null when neither exists.
+[[nodiscard]] const contracts::FlowSpec* flow_of(const contracts::Contract& c,
+                                                 const std::string& port,
+                                                 const std::string& element,
+                                                 bool assume);
 
 /// V8 + V12: build the slot dataflow graph (connectors plus runnable
 /// read->write relays), propagate guarantee intervals to a fixpoint, and
@@ -88,16 +140,13 @@ void check_flow_ranges(
     const std::map<std::string, contracts::Contract, std::less<>>& contracts,
     Diagnostics& out);
 
-/// V9: run analyze_chains and judge every latency assumption — error when
+/// V9: judge every latency assumption analyze_chains bounded — error when
 /// the obligation is below the static bound, info (with slack) otherwise,
 /// warning when the chain cannot be bounded.
-void check_chain_deadlines(
-    const vfb::Composition& model, const vfb::DeploymentPlan& plan,
-    const std::map<std::string, contracts::Contract, std::less<>>& contracts,
-    Diagnostics& out);
+void check_chain_deadlines(const ChainAnalysis& chains, Diagnostics& out);
 
 /// V10: cross-check contract obligations against the monitor inventory
-/// vfb::System would compile. `plan` may be null (the runtime_verification
+/// vfb::System compiles. `plan` may be null (the runtime_verification
 /// opt-out is then not checkable).
 void check_monitor_coverage(
     const vfb::Composition& model, const vfb::DeploymentPlan* plan,
@@ -108,6 +157,7 @@ void check_monitor_coverage(
 /// CPU share, per-ECU sums, and bus bandwidth against the plan's bitrate.
 void check_resource_budgets(
     const vfb::Composition& model, const vfb::DeploymentPlan& plan,
+    const vfb::Elaboration& elab,
     const std::map<std::string, contracts::Contract, std::less<>>& contracts,
     Diagnostics& out);
 

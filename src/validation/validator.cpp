@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +19,8 @@ using vfb::Connector;
 using vfb::DataAccessKind;
 using vfb::DataElement;
 using vfb::DeploymentPlan;
+using vfb::find_port;
+using vfb::is_write;
 using vfb::InstanceDeployment;
 using vfb::Operation;
 using vfb::Port;
@@ -27,18 +28,7 @@ using vfb::PortDirection;
 using vfb::PortInterface;
 using vfb::Runnable;
 using vfb::RunnableTrigger;
-using sim::Duration;
-
-bool is_write(DataAccessKind k) {
-  return k == DataAccessKind::kImplicitWrite ||
-         k == DataAccessKind::kExplicitWrite;
-}
-const Port* find_port(const ComponentType& type, std::string_view name) {
-  for (const auto& p : type.ports) {
-    if (p.name == name) return &p;
-  }
-  return nullptr;
-}
+using Task = vfb::ElaboratedTask;
 
 const DataElement* find_element(const PortInterface& iface,
                                 std::string_view name) {
@@ -67,21 +57,19 @@ std::string conn_subject(const Connector& c) {
          dot(c.to_instance, c.to_port);
 }
 
-/// Task-mapping shadow of System::build_tasks: which generated task a
-/// runnable lands in and at which priority, per ECU. The race detector (V4)
-/// reasons about exactly the tasks the generator would emit.
-struct TaskRef {
-  std::string name;
-  int priority = 0;
-  bool table_dispatched = false;  ///< TT periodic: non-preemptive dispatch.
-};
-
 /// One whole-model validation run; collects into `out`.
 class Pass {
  public:
+  /// `elab` is the elaboration of (model, *plan) and present iff `plan` is;
+  /// `chains`, when given, is analyze_chains over it (else V9 runs it).
   Pass(const Composition& model, const DeploymentPlan* plan,
-       const std::map<std::string, contracts::Contract, std::less<>>& bound)
-      : model_(model), plan_(plan), contracts_(bound) {}
+       const std::map<std::string, contracts::Contract, std::less<>>& bound,
+       const vfb::Elaboration* elab, const ChainAnalysis* chains)
+      : model_(model),
+        plan_(plan),
+        contracts_(bound),
+        elab_(elab),
+        chains_(chains) {}
 
   Diagnostics run() {
     check_type_references();  // V1/V2/V5 (type level)
@@ -100,9 +88,18 @@ class Pass {
       check_flow_ranges(model_, contracts_, out_);             // V8/V12
       check_monitor_coverage(model_, plan_, contracts_, out_); // V10
       if (plan_ != nullptr) {
-        check_chain_deadlines(model_, *plan_, contracts_, out_);  // V9
-        check_resource_budgets(model_, *plan_, contracts_, out_); // V11
-        check_detectability(model_, *plan_, contracts_, out_);    // V13-V15
+        if (has_latency_assumptions(contracts_)) {  // V9
+          if (chains_ != nullptr) {
+            check_chain_deadlines(*chains_, out_);
+          } else {
+            check_chain_deadlines(
+                analyze_chains(model_, *plan_, *elab_, contracts_), out_);
+          }
+        }
+        check_resource_budgets(model_, *plan_, *elab_, contracts_,
+                               out_);  // V11
+        check_detectability(model_, *plan_, *elab_, contracts_,
+                            out_);  // V13-V15
       }
     }
     return std::move(out_);
@@ -320,19 +317,11 @@ class Pass {
       }
     }
     for (const auto& c : model_.connectors()) {
-      const auto* from_inst = model_.find_instance(c.from_instance);
-      const auto* to_inst = model_.find_instance(c.to_instance);
-      if (from_inst == nullptr || to_inst == nullptr) continue;
-      const ComponentType* from_type = model_.find_type(from_inst->type);
-      const ComponentType* to_type = model_.find_type(to_inst->type);
-      if (from_type == nullptr || to_type == nullptr) continue;
-      const Port* from = find_port(*from_type, c.from_port);
-      if (from == nullptr) continue;
-      const PortInterface* iface = model_.find_interface(from->interface);
-      if (iface == nullptr ||
-          iface->kind != PortInterface::Kind::kSenderReceiver) {
-        continue;
-      }
+      const PortInterface* iface =
+          model_.find_sr_interface(c.from_instance, c.from_port);
+      const ComponentType* to_type = model_.find_type_of(c.to_instance);
+      if (iface == nullptr || to_type == nullptr) continue;
+      const ComponentType* from_type = model_.find_type_of(c.from_instance);
       for (const auto& elem : iface->elements) {
         if (!element_is_written(*from_type, c.from_port, elem.name)) {
           out_.add("V3", Severity::kInfo,
@@ -551,11 +540,8 @@ class Pass {
       if (from == plan_->instances.end() || to == plan_->instances.end()) {
         continue;  // undeployed ends flagged above
       }
-      const auto* from_inst = model_.find_instance(c.from_instance);
-      if (from_inst == nullptr) continue;
-      const ComponentType* type = model_.find_type(from_inst->type);
-      if (type == nullptr) continue;
-      const Port* p = find_port(*type, c.from_port);
+      const ComponentType* type = model_.find_type_of(c.from_instance);
+      const Port* p = type == nullptr ? nullptr : find_port(*type, c.from_port);
       if (p == nullptr) continue;
       const PortInterface* iface = model_.find_interface(p->interface);
       if (iface != nullptr &&
@@ -571,11 +557,8 @@ class Pass {
 
   void check_budget(const std::string& instance,
                     const InstanceDeployment& dep) {
-    if (dep.budget <= 0) return;
-    const auto* inst = model_.find_instance(instance);
-    if (inst == nullptr) return;
-    const ComponentType* type = model_.find_type(inst->type);
-    if (type == nullptr) return;
+    const ComponentType* type = model_.find_type_of(instance);
+    if (dep.budget <= 0 || type == nullptr) return;
     for (const auto& r : type->runnables) {
       if (r.wcet_bound > 0 && r.wcet_bound > dep.budget) {
         out_.add("V5", Severity::kWarning, dot(instance, r.name),
@@ -586,17 +569,25 @@ class Pass {
     }
   }
 
-  // --- V4: cross-task data races. Mirrors the generator's task derivation:
-  // one task per (instance, period) with rate-monotonic priorities per ECU,
-  // one event task per data-received runnable at plan.data_task_priority.
-  // Explicit accesses touch live RTE slots, so a preempting writer tears a
-  // lower-priority reader (torn read) and two writers in different tasks
-  // lose updates; implicit accesses are buffered at task boundaries and
-  // pass by construction.
+  // --- V4: cross-task data races over the elaborated task map (V5's
+  // per-ECU task-count limit reads the same task list). Explicit accesses
+  // touch live RTE slots, so a preempting writer tears a lower-priority
+  // reader (torn read) and two writers in different tasks lose updates;
+  // implicit accesses are buffered at task boundaries and pass by
+  // construction.
   void check_races() {
-    // (instance, runnable name) -> generated task.
-    std::map<std::pair<std::string, std::string>, TaskRef> task_of;
-    build_task_map(task_of);
+    for (const auto& ecu : elab_->ecus) {
+      const auto periodic = static_cast<std::size_t>(std::count_if(
+          elab_->tasks.begin(), elab_->tasks.end(),
+          [&](const Task& t) { return t.ecu == ecu && t.period > 0; }));
+      if (periodic > vfb::kMaxPeriodicTasksPerEcu) {
+        out_.add("V5", Severity::kError, ecu,
+                 "too many periodic tasks on ECU " + ecu + " (" +
+                     std::to_string(periodic) + " > " +
+                     std::to_string(vfb::kMaxPeriodicTasksPerEcu) + ")",
+                 "merge runnable periods or split the deployment");
+      }
+    }
 
     for (const auto& c : model_.connectors()) {
       const auto from_dep = plan_->instances.find(c.from_instance);
@@ -606,137 +597,40 @@ class Pass {
           from_dep->second.ecu != to_dep->second.ecu) {
         continue;  // cross-ECU: decoupled by the bus, no shared slot
       }
-      const ComponentType* from_type = type_of(c.from_instance);
-      const ComponentType* to_type = type_of(c.to_instance);
-      if (from_type == nullptr || to_type == nullptr) continue;
-      const Port* from = find_port(*from_type, c.from_port);
-      if (from == nullptr) continue;
-      const PortInterface* iface = model_.find_interface(from->interface);
-      if (iface == nullptr ||
-          iface->kind != PortInterface::Kind::kSenderReceiver) {
-        continue;
-      }
+      const PortInterface* iface =
+          model_.find_sr_interface(c.from_instance, c.from_port);
+      const ComponentType* to_type = model_.find_type_of(c.to_instance);
+      if (iface == nullptr || to_type == nullptr) continue;
+      const ComponentType* from_type = model_.find_type_of(c.from_instance);
       for (const auto& elem : iface->elements) {
-        check_element_races(c, *from_type, *to_type, elem.name, task_of);
+        check_element_races(c, *from_type, *to_type, elem.name);
       }
     }
 
     // Lost updates inside one instance: two explicit writers of the same
     // (port, element) mapped to different tasks.
     for (const auto& inst : model_.instances()) {
-      const ComponentType* type = type_of(inst.name);
+      const ComponentType* type = model_.find_type_of(inst.name);
       if (type == nullptr || plan_->instances.count(inst.name) == 0) continue;
-      check_intra_instance_races(inst.name, *type, task_of);
-    }
-  }
-
-  const ComponentType* type_of(const std::string& instance) const {
-    const auto* inst = model_.find_instance(instance);
-    return inst == nullptr ? nullptr : model_.find_type(inst->type);
-  }
-
-  void build_task_map(
-      std::map<std::pair<std::string, std::string>, TaskRef>& task_of) {
-    // ECUs in deterministic order, as the generator builds them.
-    std::set<std::string> ecus;
-    for (const auto& [_, dep] : plan_->instances) ecus.insert(dep.ecu);
-    const bool tt =
-        plan_->scheduling == vfb::SchedulingPolicy::kTimeTriggered;
-
-    for (const auto& ecu : ecus) {
-      struct Group {
-        std::string instance;
-        Duration period = 0;
-      };
-      std::vector<Group> groups;
-      for (const auto& inst : model_.instances()) {
-        const auto dep = plan_->instances.find(inst.name);
-        if (dep == plan_->instances.end() || dep->second.ecu != ecu) continue;
-        const ComponentType* type = model_.find_type(inst.type);
-        if (type == nullptr) continue;
-        for (const auto& r : type->runnables) {
-          switch (r.trigger.kind) {
-            case RunnableTrigger::Kind::kTiming: {
-              const auto git = std::find_if(
-                  groups.begin(), groups.end(), [&](const Group& g) {
-                    return g.instance == inst.name &&
-                           g.period == r.trigger.period;
-                  });
-              if (git == groups.end()) {
-                groups.push_back(Group{inst.name, r.trigger.period});
-              }
-              break;
-            }
-            case RunnableTrigger::Kind::kDataReceived:
-              task_of[{inst.name, r.name}] =
-                  TaskRef{"tk|" + inst.name + "|" + r.name,
-                          plan_->data_task_priority, false};
-              break;
-            case RunnableTrigger::Kind::kInit:
-              break;  // runs once before start; no task
-          }
-        }
-      }
-      if (groups.size() > vfb::kMaxPeriodicTasksPerEcu) {
-        out_.add("V5", Severity::kError, ecu,
-                 "too many periodic tasks on ECU " + ecu + " (" +
-                     std::to_string(groups.size()) + " > " +
-                     std::to_string(vfb::kMaxPeriodicTasksPerEcu) + ")",
-                 "merge runnable periods or split the deployment");
-      }
-      std::sort(groups.begin(), groups.end(),
-                [](const Group& a, const Group& b) {
-                  if (a.period != b.period) return a.period < b.period;
-                  return a.instance < b.instance;
-                });
-      int rank = 0;
-      std::map<std::pair<std::string, Duration>, int> priority;
-      for (const auto& g : groups) {
-        priority[{g.instance, g.period}] =
-            vfb::kPeriodicBasePriority - rank++;
-      }
-      for (const auto& inst : model_.instances()) {
-        const auto dep = plan_->instances.find(inst.name);
-        if (dep == plan_->instances.end() || dep->second.ecu != ecu) continue;
-        const ComponentType* type = model_.find_type(inst.type);
-        if (type == nullptr) continue;
-        for (const auto& r : type->runnables) {
-          if (r.trigger.kind != RunnableTrigger::Kind::kTiming) continue;
-          const auto pit = priority.find({inst.name, r.trigger.period});
-          if (pit == priority.end()) continue;
-          task_of[{inst.name, r.name}] = TaskRef{
-              "tk|" + inst.name + "|" + std::to_string(r.trigger.period),
-              pit->second, tt};
-        }
-      }
+      check_intra_instance_races(inst.name, *type);
     }
   }
 
   /// Can `a` and `b` interleave mid-execution? Distinct tasks at distinct
   /// priorities under preemptive dispatch; TT table entries are
   /// non-preemptive among themselves but event tasks still preempt them.
-  static bool can_preempt_pair(const TaskRef& a, const TaskRef& b) {
+  static bool can_preempt_pair(const Task& a, const Task& b) {
     if (a.name == b.name) return false;       // same task: serialized
     if (a.priority == b.priority) return false;  // FIFO peers never preempt
     if (a.table_dispatched && b.table_dispatched) return false;  // TT slots
     return true;
   }
 
-  const TaskRef* task_for(
-      const std::map<std::pair<std::string, std::string>, TaskRef>& task_of,
-      const std::string& instance, const std::string& runnable) const {
-    const auto it = task_of.find({instance, runnable});
-    return it == task_of.end() ? nullptr : &it->second;
-  }
-
   void emit_race(const char* kind, const std::string& subject,
-                 const std::string& victim_access, const TaskRef& victim,
-                 const std::string& aggressor_access,
-                 const TaskRef& aggressor) {
-    const TaskRef& hi = aggressor.priority > victim.priority ? aggressor
-                                                             : victim;
-    const TaskRef& lo = aggressor.priority > victim.priority ? victim
-                                                             : aggressor;
+                 const std::string& victim_access, const Task& victim,
+                 const std::string& aggressor_access, const Task& aggressor) {
+    const Task& hi = aggressor.priority > victim.priority ? aggressor : victim;
+    const Task& lo = aggressor.priority > victim.priority ? victim : aggressor;
     out_.add("V4", Severity::kWarning, subject,
              std::string(kind) + " hazard: " + victim_access +
                  " races with " + aggressor_access + "; task " + hi.name +
@@ -746,13 +640,12 @@ class Pass {
              "into one task");
   }
 
-  void check_element_races(
-      const Connector& c, const ComponentType& from_type,
-      const ComponentType& to_type, const std::string& elem,
-      const std::map<std::pair<std::string, std::string>, TaskRef>& task_of) {
+  void check_element_races(const Connector& c, const ComponentType& from_type,
+                           const ComponentType& to_type,
+                           const std::string& elem) {
     struct Acc {
       const Runnable* runnable;
-      const TaskRef* task;
+      const Task* task;
     };
     std::vector<Acc> writers;
     std::vector<Acc> readers;
@@ -760,7 +653,7 @@ class Pass {
       for (const auto& acc : r.accesses) {
         if (acc.port == c.from_port && acc.element == elem &&
             acc.kind == DataAccessKind::kExplicitWrite) {
-          if (const TaskRef* t = task_for(task_of, c.from_instance, r.name)) {
+          if (const Task* t = elab_->task_for(c.from_instance, r.name)) {
             writers.push_back({&r, t});
           }
         }
@@ -770,7 +663,7 @@ class Pass {
       for (const auto& acc : r.accesses) {
         if (acc.port == c.to_port && acc.element == elem &&
             acc.kind == DataAccessKind::kExplicitRead) {
-          if (const TaskRef* t = task_for(task_of, c.to_instance, r.name)) {
+          if (const Task* t = elab_->task_for(c.to_instance, r.name)) {
             readers.push_back({&r, t});
           }
         }
@@ -792,17 +685,16 @@ class Pass {
     }
   }
 
-  void check_intra_instance_races(
-      const std::string& instance, const ComponentType& type,
-      const std::map<std::pair<std::string, std::string>, TaskRef>& task_of) {
+  void check_intra_instance_races(const std::string& instance,
+                                  const ComponentType& type) {
     // (port, element) -> explicit writers.
     std::map<std::pair<std::string, std::string>,
-             std::vector<std::pair<const Runnable*, const TaskRef*>>>
+             std::vector<std::pair<const Runnable*, const Task*>>>
         writers;
     for (const auto& r : type.runnables) {
       for (const auto& acc : r.accesses) {
         if (acc.kind != DataAccessKind::kExplicitWrite) continue;
-        if (const TaskRef* t = task_for(task_of, instance, r.name)) {
+        if (const Task* t = elab_->task_for(instance, r.name)) {
           writers[{acc.port, acc.element}].emplace_back(&r, t);
         }
       }
@@ -839,15 +731,9 @@ class Pass {
       const auto from_it = contracts_.find(c.from_instance);
       const auto to_it = contracts_.find(c.to_instance);
       if (from_it == contracts_.end() || to_it == contracts_.end()) continue;
-      const ComponentType* from_type = type_of(c.from_instance);
-      if (from_type == nullptr) continue;
-      const Port* from = find_port(*from_type, c.from_port);
-      if (from == nullptr) continue;
-      const PortInterface* iface = model_.find_interface(from->interface);
-      if (iface == nullptr ||
-          iface->kind != PortInterface::Kind::kSenderReceiver) {
-        continue;
-      }
+      const PortInterface* iface =
+          model_.find_sr_interface(c.from_instance, c.from_port);
+      if (iface == nullptr) continue;
       for (const auto& elem : iface->elements) {
         const contracts::FlowSpec* g =
             flow_of(from_it->second, c.from_port, elem.name, /*assume=*/false);
@@ -867,20 +753,11 @@ class Pass {
     }
   }
 
-  static const contracts::FlowSpec* flow_of(const contracts::Contract& c,
-                                            const std::string& port,
-                                            const std::string& element,
-                                            bool assume) {
-    const std::string qualified = port + "." + element;
-    const contracts::FlowSpec* f =
-        assume ? c.assumption(qualified) : c.guarantee(qualified);
-    if (f == nullptr) f = assume ? c.assumption(port) : c.guarantee(port);
-    return f;
-  }
-
   const Composition& model_;
   const DeploymentPlan* plan_;
   const std::map<std::string, contracts::Contract, std::less<>>& contracts_;
+  const vfb::Elaboration* elab_;
+  const ChainAnalysis* chains_;
   Diagnostics out_;
 };
 
@@ -893,7 +770,11 @@ Validator& Validator::with_contract(std::string instance,
 }
 
 Diagnostics Validator::run() const {
-  return Pass(*model_, plan_, contracts_).run();
+  if (plan_ == nullptr) {
+    return Pass(*model_, nullptr, contracts_, nullptr, nullptr).run();
+  }
+  const vfb::Elaboration elab = vfb::elaborate(*model_, *plan_, contracts_);
+  return Pass(*model_, plan_, contracts_, &elab, nullptr).run();
 }
 
 namespace {
@@ -916,6 +797,13 @@ Diagnostics validate(const vfb::Composition& model,
                      const vfb::DeploymentPlan& plan) {
   return with_model_contracts(Validator(model).with_deployment(plan), model)
       .run();
+}
+
+Diagnostics validate(const vfb::Composition& model,
+                     const vfb::DeploymentPlan& plan,
+                     const vfb::Elaboration& elab,
+                     const ChainAnalysis& chains) {
+  return Pass(model, &plan, model.bound_contracts(), &elab, &chains).run();
 }
 
 }  // namespace orte::validation

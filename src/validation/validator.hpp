@@ -41,7 +41,9 @@
 
 #include "contracts/contract.hpp"
 #include "validation/diagnostics.hpp"
+#include "validation/flow_analysis.hpp"
 #include "vfb/deployment.hpp"
+#include "vfb/elaboration.hpp"
 #include "vfb/model.hpp"
 
 namespace orte::validation {
@@ -73,5 +75,12 @@ class Validator {
 [[nodiscard]] Diagnostics validate(const vfb::Composition& model);
 [[nodiscard]] Diagnostics validate(const vfb::Composition& model,
                                    const vfb::DeploymentPlan& plan);
+/// validate(model, plan) over an elaboration of (model, plan) and its
+/// analyze_chains result that the caller already holds — vfb::System's
+/// strict mode, which needs both for generation anyway.
+[[nodiscard]] Diagnostics validate(const vfb::Composition& model,
+                                   const vfb::DeploymentPlan& plan,
+                                   const vfb::Elaboration& elab,
+                                   const ChainAnalysis& chains);
 
 }  // namespace orte::validation

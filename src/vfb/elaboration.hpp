@@ -1,0 +1,195 @@
+// Elaboration: every decision the system generator makes, made once.
+//
+// vfb::elaborate() turns a Composition + DeploymentPlan into plain data: the
+// ECU list, every generated task (name, ECU, priority, period, inlined WCET,
+// time-triggered dispatch, runnables), the (instance, runnable) -> task map,
+// the writer task of every sender key, the cross-ECU signals packed into
+// PDUs with frame identifiers / static slots, and the rv monitor specs and
+// alive heartbeats compiled from the bound contracts. It is the one
+// configuration the AUTOSAR methodology (§2) carries "up to the generation of
+// executable code":
+//  * vfb::System instantiates it (tasks, COM, RTE routes, monitors),
+//  * the validator analyses it (V4/V5 task map, V9 tasks and writers, V10
+//    and V13–V15 flow resolution and monitor specs),
+// so no consumer re-derives a generator decision.
+//
+// elaborate() is pure and total: it never throws on an invalid model (the
+// validator runs on those). What the generator could not instantiate —
+// undeployed instances, cross-ECU client-server links, unresolvable server
+// calls, too many periodic tasks — is skipped and named in `gaps`; validation
+// rules V1–V5 report each of these first, so a non-empty `gaps` after a clean
+// validation is a validator defect.
+//
+// The elaboration borrows the model's Runnables by pointer: it must not
+// outlive the Composition it was elaborated from.
+#pragma once
+
+#include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
+#include <variant>
+#include <vector>
+
+#include "contracts/contract.hpp"
+#include "flexray/flexray_bus.hpp"
+#include "rv/monitors.hpp"
+#include "vfb/deployment.hpp"
+#include "vfb/model.hpp"
+
+namespace orte::vfb {
+
+/// Name of the periodic task hosting `instance`'s runnables of `period`.
+[[nodiscard]] std::string periodic_task_name(const std::string& instance,
+                                             Duration period);
+
+/// One runnable of a generated task.
+struct TaskRunnable {
+  const Runnable* runnable = nullptr;
+  /// Inlined WCET of its synchronous server calls (the RTE executes them in
+  /// the caller's context).
+  Duration inlined = 0;
+  /// Its WCET bound (probing execution_time when none is declared) plus
+  /// `inlined`.
+  Duration wcet = 0;
+};
+
+/// One generated OS task.
+struct ElaboratedTask {
+  /// "tk|<instance>|<period>" or "tk|<instance>|<runnable>".
+  std::string name;
+  std::string ecu;
+  std::string instance;
+  Duration period = 0;  ///< 0 = event task (data-received activation).
+  Duration wcet = 0;  ///< Sum of the runnables' WCETs.
+  int priority = 0;  ///< Rate-monotonic per ECU, or plan.data_task_priority.
+  /// Periodic task dispatched from the synthesized time-triggered table
+  /// (SchedulingPolicy::kTimeTriggered): non-preemptive among its peers.
+  bool table_dispatched = false;
+  std::vector<TaskRunnable> runnables;  ///< In declaration order.
+};
+
+/// An init runnable: executed once at start, outside any task.
+struct InitRunnable {
+  std::string ecu;
+  std::string instance;
+  const Runnable* runnable = nullptr;
+};
+
+/// One cross-ECU data element carried as a COM signal.
+struct ElaboratedSignal {
+  std::string name;        ///< COM signal name, "sg|<sender key>".
+  std::string sender_key;  ///< Rte sender key ("rte.write" subject).
+  std::string sender_ecu;
+  DataElement element;     ///< Width, init value and queue semantics.
+  /// (receiver ECU, receiver Rte key) per connector end.
+  std::vector<std::pair<std::string, std::string>> receivers;
+};
+
+/// One I-PDU: signals of one sender ECU and producer period, packed.
+struct ElaboratedPdu {
+  std::string name;
+  std::string sender_ecu;
+  Duration period = 0;         ///< Producer period; 0 = event-produced.
+  std::uint32_t frame_id = 0;  ///< CAN identifier, or FlexRay static slot.
+  std::size_t length_bytes = 0;
+  /// (index into Elaboration::signals, bit offset).
+  std::vector<std::pair<std::size_t, std::size_t>> signals;
+};
+
+/// One rv monitor the generator registers.
+struct MonitorSpec {
+  /// Instance the compiling contract is bound to (deadline monitors: the
+  /// task's instance).
+  std::string instance;
+  /// Contract flow the spec was compiled from; empty for deadline and
+  /// automaton monitors.
+  std::string flow;
+  std::variant<rv::DeadlineSpec, rv::ArrivalSpec, rv::RangeSpec,
+               rv::LatencySpec, rv::AutomatonSpec>
+      spec;
+};
+
+/// One watchdog-supervised sender key (DeploymentPlan::alive_supervision).
+struct Heartbeat {
+  std::string ecu;       ///< The producer's ECU.
+  std::string key;       ///< Supervised sender key.
+  std::string contract;  ///< Guaranteeing contract ("alive" violations).
+  Duration period = 0;   ///< Largest guaranteed period of the key.
+};
+
+struct Elaboration {
+  std::vector<std::string> ecus;  ///< Sorted; also the bus attach order.
+  /// Per ECU (in `ecus` order): periodic tasks by (period, instance), then
+  /// event tasks in model order.
+  std::vector<ElaboratedTask> tasks;
+  std::vector<InitRunnable> inits;  ///< Per ECU, in model order.
+  /// (instance, runnable name) -> index of the hosting task.
+  std::map<std::pair<std::string, std::string>, std::size_t> task_of;
+  /// Sender key -> index of the task that publishes it: the smallest-period
+  /// timing writer, else the first data-received (relay) writer.
+  std::map<std::string, std::size_t, std::less<>> writer_task;
+  std::vector<ElaboratedSignal> signals;
+  std::vector<ElaboratedPdu> pdus;  ///< Frame-identifier order.
+  /// The plan's FlexRay configuration as the generator builds the bus: at
+  /// least one static slot per PDU, at least 8 payload bytes per slot.
+  flexray::FlexRayConfig flexray;
+  /// rv monitors in registration order: one deadline monitor per task, then
+  /// per bound contract its arrival, guarantee-range, assumption-range,
+  /// latency and automaton monitors. Latency specs carry static_bound 0; the
+  /// system stamps the V9 bound in.
+  std::vector<MonitorSpec> monitors;
+  std::vector<Heartbeat> heartbeats;  ///< Sorted by (ECU, key).
+  /// What the generator could not instantiate (see the file comment).
+  std::vector<std::string> gaps;
+
+  /// The task hosting (instance, runnable), or null (init runnables,
+  /// undeployed instances).
+  [[nodiscard]] const ElaboratedTask* task_for(
+      const std::string& instance, const std::string& runnable) const;
+};
+
+using ContractMap = std::map<std::string, contracts::Contract, std::less<>>;
+
+/// Elaborate with the contracts bound on the model.
+[[nodiscard]] Elaboration elaborate(const Composition& model,
+                                    const DeploymentPlan& plan);
+/// Elaborate with an explicit contract map (the validator's, which may carry
+/// contracts bound through Validator::with_contract).
+[[nodiscard]] Elaboration elaborate(const Composition& model,
+                                    const DeploymentPlan& plan,
+                                    const ContractMap& contracts);
+
+/// A contract flow name split into port and element ("" = every element).
+struct FlowName {
+  std::string port;
+  std::string element;
+};
+[[nodiscard]] FlowName split_flow(const std::string& flow);
+
+/// Sender keys ("rte.write" subjects) a contract flow of `instance` resolves
+/// to. Flow names are "port" (every element) or "port.element"; required-port
+/// flows resolve through the feeding connector to the producer's key. Empty
+/// when the flow names nothing routable.
+[[nodiscard]] std::vector<std::string> resolve_flow(const Composition& model,
+                                                    const std::string& instance,
+                                                    const std::string& flow);
+
+/// Producer/receiver key pairs of a required-port flow of `instance`: the
+/// producer's sender key (also the blame target) and this instance's slot
+/// key ("rte.deliver" subject). Empty for provided-port or unroutable flows.
+struct FlowEndpoint {
+  std::string producer_key;
+  std::string receiver_key;
+};
+[[nodiscard]] std::vector<FlowEndpoint> resolve_flow_endpoints(
+    const Composition& model, const std::string& instance,
+    const std::string& flow);
+
+/// The data-received runnable a contract flow of `instance` activates (the
+/// last declared match), or null: the tail of a latency chain.
+[[nodiscard]] const Runnable* flow_sink(const Composition& model,
+                                        const std::string& instance,
+                                        const std::string& flow);
+
+}  // namespace orte::vfb

@@ -139,6 +139,33 @@ const ComponentInstance* Composition::find_instance(
   return nullptr;
 }
 
+const ComponentType* Composition::find_type_of(
+    std::string_view instance) const {
+  const ComponentInstance* inst = find_instance(instance);
+  return inst == nullptr ? nullptr : find_type(inst->type);
+}
+
+const PortInterface* Composition::find_sr_interface(
+    std::string_view instance, std::string_view port,
+    const Port** port_out) const {
+  const ComponentType* type = find_type_of(instance);
+  const Port* p = type == nullptr ? nullptr : find_port(*type, port);
+  if (p == nullptr) return nullptr;
+  const PortInterface* iface = find_interface(p->interface);
+  if (iface == nullptr || iface->kind != PortInterface::Kind::kSenderReceiver) {
+    return nullptr;
+  }
+  if (port_out != nullptr) *port_out = p;
+  return iface;
+}
+
+const Port* find_port(const ComponentType& type, std::string_view name) {
+  for (const auto& p : type.ports) {
+    if (p.name == name) return &p;
+  }
+  return nullptr;
+}
+
 void Composition::validate() const {
   const auto report = validation::validate(*this);
   if (report.has_errors()) {

@@ -69,6 +69,11 @@ enum class DataAccessKind {
   kExplicitWrite,  ///< Publishes immediately during execution.
 };
 
+[[nodiscard]] constexpr bool is_write(DataAccessKind k) {
+  return k == DataAccessKind::kImplicitWrite ||
+         k == DataAccessKind::kExplicitWrite;
+}
+
 struct DataAccess {
   std::string port;
   std::string element;
@@ -121,6 +126,10 @@ struct ComponentType {
   std::vector<Port> ports;
   std::vector<Runnable> runnables;
 };
+
+/// Port `name` of `type`, or null.
+[[nodiscard]] const Port* find_port(const ComponentType& type,
+                                    std::string_view name);
 
 struct ComponentInstance {
   std::string name;
@@ -181,6 +190,14 @@ class Composition {
   const PortInterface* find_interface(std::string_view name) const;
   const ComponentType* find_type(std::string_view name) const;
   const ComponentInstance* find_instance(std::string_view name) const;
+  /// Component type of `instance`, or null when either does not resolve.
+  const ComponentType* find_type_of(std::string_view instance) const;
+  /// Sender-receiver interface of (instance, port), or null when anything
+  /// on the way does not resolve or the port is client-server; `port_out`
+  /// receives the port.
+  const PortInterface* find_sr_interface(std::string_view instance,
+                                         std::string_view port,
+                                         const Port** port_out = nullptr) const;
 
   const std::vector<ComponentInstance>& instances() const {
     return instances_;

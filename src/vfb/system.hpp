@@ -3,7 +3,8 @@
 // This is the AUTOSAR methodology step the paper describes ("all subsequent
 // development steps up to the generation of executable code"): from the
 // deployment-independent VFB model and the mapping of component instances to
-// ECUs, the generator derives
+// ECUs, vfb::elaborate() decides (see elaboration.hpp) and System
+// instantiates
 //  * one OS task per (instance, period) for timing runnables — rate-monotonic
 //    priorities per ECU — plus one event task per data-received runnable,
 //  * COM signals/I-PDUs for every cross-ECU connector element, with frame
@@ -32,6 +33,7 @@
 #include "sim/trace.hpp"
 #include "validation/flow_analysis.hpp"
 #include "vfb/deployment.hpp"
+#include "vfb/elaboration.hpp"
 #include "vfb/model.hpp"
 #include "vfb/rte.hpp"
 
@@ -47,6 +49,9 @@ struct SystemAnalysis {
   double bus_utilization = 0.0;
   std::map<std::string, sim::Duration> task_response;  ///< Worst case, ns.
   std::map<std::string, sim::Duration> pdu_response;   ///< Worst case, ns.
+  /// Every generated task as the analysis sees it (name, WCET, period,
+  /// priority); event tasks carry period 0 and are bounded by chain_bounds.
+  std::vector<analysis::AnalysisTask> tasks;
   /// Holistic end-to-end bound per contract latency assumption (the static
   /// half of the static/dynamic cross-check; the same bounds are recorded in
   /// each rv::LatencyMonitor's spec as `static_bound`).
@@ -79,14 +84,16 @@ class System {
   [[nodiscard]] can::CanBus* can_bus() { return can_.get(); }
   [[nodiscard]] flexray::FlexRayBus* flexray_bus() { return flexray_.get(); }
   [[nodiscard]] const std::vector<std::string>& ecu_names() const {
-    return ecu_names_;
+    return elab_.ecus;
   }
   /// Bus node index of an ECU's controller (== its index in ecu_names();
   /// controllers attach in that order), or -1 for an unknown name. Lets
   /// frame-level instrumentation (fault injection, per-node accounting)
   /// address "frames sent by ECU X" via net::Frame::source.
   [[nodiscard]] int node_of(const std::string& ecu_name) const;
-  [[nodiscard]] std::size_t signal_count() const { return signal_count_; }
+  [[nodiscard]] std::size_t signal_count() const {
+    return elab_.signals.size();
+  }
 
   // --- Runtime verification (rv layer) ---------------------------------------
   /// The monitor registry compiled from the model's bound contracts and the
@@ -117,41 +124,18 @@ class System {
   };
 
   void build();
-  void build_bus();
-  void build_signals();
+  void build_com();
   void build_tasks();
   void build_monitors();
-  /// Bind watchdog alive supervision from contract periods (the fail-
-  /// silence detector; plan_.alive_supervision opt-in): per frame-sourcing
-  /// ECU one WatchdogManager whose supervised entities are the resolved
-  /// periodic-guarantee sender keys, checkpointed from their "rte.write" /
-  /// "rte.quarantine_drop" records; expiries are reported into the rv
-  /// registry as kind "alive" violations under the guaranteeing contract.
+  /// Bind watchdog alive supervision from the elaborated heartbeats (the
+  /// fail-silence detector; plan_.alive_supervision opt-in): per
+  /// frame-sourcing ECU one WatchdogManager supervising its heartbeat keys,
+  /// checkpointed from their "rte.write" / "rte.quarantine_drop" records;
+  /// expiries are reported into the rv registry as kind "alive" violations
+  /// under the guaranteeing contract.
   void build_alive_supervision();
-  /// Trace subjects ("rte.write" sender keys) a contract flow of `instance`
-  /// resolves to; empty when the flow names nothing routable.
-  std::vector<std::string> resolve_flow(const std::string& instance,
-                                        const std::string& flow) const;
-  /// Producer/receiver key pairs a required-port contract flow of `instance`
-  /// resolves to: the producer's sender key ("rte.write" subject, also the
-  /// blame target) and this instance's slot key ("rte.deliver" subject).
-  /// Empty for provided-port or unroutable flows.
-  struct FlowEndpoint {
-    std::string producer_key;
-    std::string receiver_key;
-  };
-  std::vector<FlowEndpoint> resolve_flow_endpoints(
-      const std::string& instance, const std::string& flow) const;
   EcuCtx& ctx(const std::string& ecu_name);
   const InstanceDeployment& deployment(const std::string& instance) const;
-  /// Summed WCET of the synchronous server operations `runnable` declares.
-  sim::Duration inlined_wcet(const std::string& instance,
-                             const Runnable& runnable) const;
-  /// Smallest period of any runnable of `instance`'s type writing (port,
-  /// element); kForever when none does.
-  sim::Duration writer_period(const std::string& instance,
-                              const std::string& port,
-                              const std::string& element) const;
 
   sim::Kernel& kernel_;
   sim::Trace& trace_;
@@ -159,7 +143,6 @@ class System {
   DeploymentPlan plan_;
 
   std::map<std::string, EcuCtx> ecus_;
-  std::vector<std::string> ecu_names_;
   std::unique_ptr<can::CanBus> can_;
   std::unique_ptr<flexray::FlexRayBus> flexray_;
   std::unique_ptr<rv::MonitorRegistry> registry_;
@@ -169,25 +152,10 @@ class System {
   std::map<std::string, std::string, std::less<>> alive_contract_of_;
   /// Interned subject ID of a supervised key -> the watchdog to checkpoint.
   std::unordered_map<sim::TraceId, bsw::WatchdogManager*> checkpoint_routes_;
-  std::size_t signal_count_ = 0;
   bool started_ = false;
 
-  // --- Retained analysis model of the generated configuration ---------------
-  struct AnalyzedTask {
-    std::string name;
-    std::string ecu;
-    sim::Duration period = 0;  ///< 0 = event-activated (not analyzable here).
-    sim::Duration wcet = 0;
-    int priority = 0;
-  };
-  struct AnalyzedPdu {
-    std::string name;
-    std::uint32_t frame_id = 0;
-    std::size_t bytes = 0;
-    sim::Duration period = 0;  ///< 0 = event-produced.
-  };
-  std::vector<AnalyzedTask> analyzed_tasks_;
-  std::vector<AnalyzedPdu> analyzed_pdus_;
+  /// Every generator decision, made once by vfb::elaborate().
+  Elaboration elab_;
   /// Holistic end-to-end bounds, one per contract latency assumption
   /// (validation::analyze_chains over the generated deployment).
   std::vector<validation::ChainBound> chain_bounds_;

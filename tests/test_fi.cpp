@@ -4,7 +4,9 @@
 // non-zero detected/contained coverage for all four fault classes.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bsw/dem.hpp"
@@ -291,6 +293,108 @@ TEST(FiCampaign, ReportIsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one.render(), four.render());
 }
 
+// --- Exception boundary -------------------------------------------------------
+
+/// Sensor -> plausibility-checking consumer on two CAN ECUs. The consumer
+/// throws on a value outside [0, 1000], so exactly the scenarios whose fault
+/// publishes an implausible value raise out of a runnable mid-simulation.
+fi::ModelBundle plausibility_bundle() {
+  fi::ModelBundle bundle;
+  vfb::Composition& model = bundle.model;
+  vfb::PortInterface iface;
+  iface.name = "IValue";
+  iface.elements.push_back(vfb::DataElement{"v", 16, 0, false});
+  model.add_interface(iface);
+
+  vfb::Runnable sample;
+  sample.name = "sample";
+  sample.trigger = vfb::RunnableTrigger::timing(milliseconds(5));
+  sample.wcet_bound = sim::microseconds(100);
+  sample.accesses.push_back({"out", "v", vfb::DataAccessKind::kExplicitWrite});
+  sample.behavior = [](vfb::RunnableContext& ctx) {
+    ctx.write("out", "v", 500);
+  };
+  model.add_type({"Sensor",
+                  {vfb::Port{"out", "IValue", vfb::PortDirection::kProvided}},
+                  {sample}});
+
+  vfb::Runnable check;
+  check.name = "check";
+  check.trigger = vfb::RunnableTrigger::data_received("in", "v");
+  check.wcet_bound = sim::microseconds(100);
+  check.accesses.push_back({"in", "v", vfb::DataAccessKind::kExplicitRead});
+  check.behavior = [](vfb::RunnableContext& ctx) {
+    if (ctx.read("in", "v") > 1000) {
+      throw std::runtime_error("implausible value");
+    }
+  };
+  model.add_type({"Checker",
+                  {vfb::Port{"in", "IValue", vfb::PortDirection::kRequired}},
+                  {check}});
+
+  model.add_instance({"sensor", "Sensor"});
+  model.add_instance({"checker", "Checker"});
+  model.add_connector({"sensor", "out", "checker", "in"});
+  bundle.plan.instances["sensor"] = {.ecu = "E0"};
+  bundle.plan.instances["checker"] = {.ecu = "E1"};
+  return bundle;
+}
+
+fi::Report run_with(fi::ModelFactory factory, std::size_t threads) {
+  fi::CampaignConfig cfg;
+  cfg.seed = 7;
+  cfg.replicates = 2;
+  cfg.horizon = milliseconds(400);
+  cfg.threads = threads;
+  fi::Campaign campaign(std::move(factory), cfg);
+  campaign.add_fault(
+      {.kind = FaultKind::kStuckAt, .target = "sensor.out.v", .value = 4000});
+  campaign.add_fault({.kind = FaultKind::kFrameDrop, .probability = 0.5});
+  return campaign.run();
+}
+
+TEST(FiCampaign, ThrowingRunnableScoresErrorOnAnyThreadCount) {
+  const fi::Report one = run_with(plausibility_bundle, 1);
+  const fi::Report two = run_with(plausibility_bundle, 2);
+  EXPECT_EQ(one.render(), two.render());
+  EXPECT_EQ(one.errors, 2u) << one.render();
+  EXPECT_EQ(one.count(Outcome::kError), 2u);
+  for (const auto& s : one.scenarios) {
+    const bool stuck = !s.baseline && s.fault.kind == FaultKind::kStuckAt;
+    EXPECT_EQ(s.outcome == Outcome::kError, stuck) << "scenario " << s.index;
+    EXPECT_EQ(s.error, stuck ? "implausible value" : "")
+        << "scenario " << s.index;
+  }
+  EXPECT_NE(one.render().find("errors: 2\n"), std::string::npos)
+      << one.render();
+  // Error scenarios stay out of the coverage matrix.
+  EXPECT_EQ(one.matrix.count("rte_value"), 0u);
+}
+
+TEST(FiCampaign, ThrowingFactoryOrInvalidModelScoresEveryScenarioError) {
+  const fi::ModelFactory throwing = []() -> fi::ModelBundle {
+    throw std::runtime_error("no model");
+  };
+  const fi::ModelFactory invalid = [] {
+    fi::ModelBundle bundle = plausibility_bundle();
+    bundle.plan.instances.erase("checker");  // V1: System refuses to build
+    return bundle;
+  };
+  for (const auto& [factory, message] :
+       {std::pair{throwing, std::string("no model")},
+        std::pair{invalid, std::string("System: model validation failed")}}) {
+    const fi::Report one = run_with(factory, 1);
+    const fi::Report two = run_with(factory, 2);
+    EXPECT_EQ(one.render(), two.render());
+    EXPECT_EQ(one.errors, one.scenarios.size());
+    EXPECT_EQ(one.baselines, 0u);
+    for (const auto& s : one.scenarios) {
+      EXPECT_EQ(s.outcome, Outcome::kError);
+      EXPECT_EQ(s.error.rfind(message, 0), 0u) << s.error;
+    }
+  }
+}
+
 // --- Static detectability vs measured outcomes --------------------------------
 
 TEST(FiCrossCheck, StaticVerdictsPredictCampaignOutcomes) {
@@ -302,6 +406,10 @@ TEST(FiCrossCheck, StaticVerdictsPredictCampaignOutcomes) {
   const fi::ModelBundle bundle = fi::workloads::brake_by_wire();
   std::vector<Fault> faults = fi::workloads::standard_faults();
   faults.push_back(Fault{.kind = FaultKind::kTaskCrash, .target = "pedal"});
+  // An empty value-fault target hits every sender key, in the injector and
+  // in the static analysis alike.
+  faults.push_back(Fault{.kind = FaultKind::kValueCorrupt});
+  faults.push_back(Fault{.kind = FaultKind::kStuckAt, .value = 4000});
 
   const auto analysis = orte::validation::analyze_detectability(
       bundle.model, bundle.plan, bundle.model.bound_contracts(), faults);

@@ -57,6 +57,7 @@ FlexRayBus::FlexRayBus(sim::Kernel& kernel, sim::Trace& trace,
   cycle_len_ = cycle_length(cfg_);
   slot_owner_.assign(cfg_.static_slots + 1, -1);
   slot_buffer_.assign(cfg_.static_slots + 1, std::nullopt);
+  armed_.resize(cfg_.static_slots + 2);
 }
 
 FlexRayController& FlexRayBus::attach() {
@@ -81,15 +82,50 @@ void FlexRayBus::assign_static_slot(std::uint32_t slot,
 void FlexRayBus::start() {
   if (started_) throw std::logic_error("FlexRayBus::start called twice");
   started_ = true;
-  kernel_.schedule_at(kernel_.now(), [this] { begin_cycle(); },
+  const Time origin = kernel_.now();
+  cycle_start_ = origin - cycle_len_;
+  kernel_.schedule_at(origin, [this] { begin_cycle(); },
                       sim::EventOrder::kHardware);
+  // Frames buffered before start(): slot 1 runs inside the first
+  // begin_cycle, every later occupied slot is armed for its first start.
+  for (std::size_t k = 2; k <= cfg_.static_slots; ++k) {
+    if (slot_buffer_[k].has_value()) {
+      arm_at(k, origin + static_cast<Duration>(k - 1) * static_slot_len_);
+    }
+  }
 }
 
 void FlexRayBus::submit_static(Frame frame) {
   if (slot_owner_[frame.id] != frame.source) {
     throw std::logic_error("node writes a static slot it does not own");
   }
-  slot_buffer_[frame.id] = std::move(frame);  // overwrite: state semantics
+  const std::size_t index = frame.id;
+  const bool was_empty = !slot_buffer_[index].has_value();
+  slot_buffer_[index] = std::move(frame);  // overwrite: state semantics
+  // A full buffer is already armed or covered; slot 1 always runs inside
+  // begin_cycle.
+  if (was_empty && started_ && index > 1) arm_static_slot(index);
+}
+
+void FlexRayBus::arm_static_slot(std::size_t index) {
+  if (tx_slot_ + 1 == index) return;  // runs after slot index-1's delivery
+  const Time now = kernel_.now();
+  Time when =
+      cycle_start_ + static_cast<Duration>(index - 1) * static_slot_len_;
+  // A write at the slot's exact start makes this cycle only while the slot
+  // is still ahead of the writer: not yet run, and the writer ordered no
+  // later than the kHardware boundary events of that instant.
+  if (when < now ||
+      (when == now && (last_boundary_ == now ||
+                       kernel_.passed(sim::EventOrder::kHardware)))) {
+    when += cycle_len_;
+  }
+  arm_at(index, when);
+}
+
+void FlexRayBus::arm_at(std::size_t index, Time when) {
+  armed_[index] = kernel_.schedule_at(
+      when, [this, index] { run_slot(index); }, sim::EventOrder::kHardware);
 }
 
 void FlexRayBus::submit_dynamic(Frame frame) {
@@ -107,36 +143,44 @@ void FlexRayBus::submit_dynamic(Frame frame) {
 
 void FlexRayBus::begin_cycle() {
   ++cycle_count_;
+  cycle_start_ = kernel_.now();
   trace_.emit(kernel_.now(), "fr.cycle", cfg_.name,
               static_cast<std::int64_t>(cycle_count_));
-  run_static_slot(1);
+  // The dynamic segment gets its own event unless the last static slot is
+  // already full: then its delivery runs the segment.
+  const std::size_t last = cfg_.static_slots;
+  if (!slot_buffer_[last].has_value()) {
+    arm_at(last + 1,
+           kernel_.now() + static_cast<Duration>(last) * static_slot_len_);
+  }
+  run_slot(1);
 }
 
-void FlexRayBus::run_static_slot(std::size_t index) {
+void FlexRayBus::run_slot(std::size_t index) {
+  last_boundary_ = kernel_.now();
   if (index > cfg_.static_slots) {
     begin_dynamic_segment();
     return;
   }
-  const Time slot_end = kernel_.now() + static_slot_len_;
-  if (slot_buffer_[index].has_value()) {
-    Frame frame = std::move(*slot_buffer_[index]);
-    slot_buffer_[index].reset();
-    frame.sent_at = kernel_.now();
-    stats_.record_queueing_delay(kernel_.now() - frame.enqueued_at);
-    trace_.emit(kernel_.now(), "fr.static_tx", frame.name, frame.id);
-    kernel_.schedule_at(
-        slot_end,
-        [this, frame = std::move(frame), index]() mutable {
-          stats_.record_tx(frame.sent_at, kernel_.now(), true);
-          deliver(std::move(frame));
-          run_static_slot(index + 1);
-        },
-        sim::EventOrder::kHardware);
-  } else {
-    kernel_.schedule_at(
-        slot_end, [this, index] { run_static_slot(index + 1); },
-        sim::EventOrder::kHardware);
-  }
+  if (!slot_buffer_[index].has_value()) return;  // idle slot: nothing to do
+  Frame frame = std::move(*slot_buffer_[index]);
+  slot_buffer_[index].reset();
+  frame.sent_at = kernel_.now();
+  stats_.record_queueing_delay(kernel_.now() - frame.enqueued_at);
+  trace_.emit(kernel_.now(), "fr.static_tx", frame.name, frame.id);
+  // The next boundary starts where this frame is delivered: it runs after
+  // the delivery, not from an event armed earlier.
+  kernel_.cancel(armed_[index + 1]);
+  tx_slot_ = index;
+  kernel_.schedule_at(
+      kernel_.now() + static_slot_len_,
+      [this, frame = std::move(frame), index]() mutable {
+        stats_.record_tx(frame.sent_at, kernel_.now(), true);
+        deliver(std::move(frame));
+        tx_slot_ = 0;
+        run_slot(index + 1);
+      },
+      sim::EventOrder::kHardware);
 }
 
 void FlexRayBus::begin_dynamic_segment() {

@@ -6,6 +6,16 @@
 // transmits only if enough minislots remain in this cycle) + network idle
 // time. This is the time-triggered comparator in experiments E1/E3 and the
 // backbone of the brake-by-wire example.
+//
+// Slot instants are arithmetic, not a chain of events: cycle n starts at
+// start() + n * cycle_len() and static slot k at that plus (k-1) * slot_len.
+// The kernel sees one event per cycle start (fr.cycle, cycles()), one per
+// dynamic segment, and one per occupied static slot; an idle slot is free.
+// Filling an empty slot buffer arms that slot's next start; a slot that
+// starts where the previous slot's frame is delivered (or slot 1 at the
+// cycle start, or the dynamic segment after the last slot's delivery) runs
+// inside that event instead, so same-instant ordering — and hence the trace
+// — matches a bus that ticks every slot (DESIGN.md, "TDMA slot loops").
 #pragma once
 
 #include <cstdint>
@@ -107,7 +117,13 @@ class FlexRayBus {
   void submit_static(Frame frame);
   void submit_dynamic(Frame frame);
   void begin_cycle();
-  void run_static_slot(std::size_t index);
+  /// Arm static slot `index` (>= 2) for its next start the bus has not yet
+  /// reached, unless the event delivering slot index-1 already covers it.
+  void arm_static_slot(std::size_t index);
+  void arm_at(std::size_t index, Time when);
+  /// The boundary at the start of slot `index` (static_slots + 1 = the
+  /// dynamic segment): transmit the buffered frame, if any.
+  void run_slot(std::size_t index);
   void begin_dynamic_segment();
   void deliver(Frame frame);
 
@@ -126,6 +142,18 @@ class FlexRayBus {
   std::vector<std::optional<Frame>> slot_buffer_;
   /// Pending dynamic frames, sorted ascending by id.
   std::deque<Frame> dynamic_queue_;
+  /// Armed boundary events per slot index; static_slots + 1 is the dynamic
+  /// segment. Unused for slot 1, which always runs inside begin_cycle.
+  std::vector<sim::EventHandle> armed_;
+  /// Start of the current cycle (one cycle before start() until the first
+  /// begin_cycle runs).
+  Time cycle_start_ = 0;
+  /// Instant of the last slot boundary run; slot instants are distinct, so
+  /// this tells whether a slot starting at now() has been passed.
+  Time last_boundary_ = -1;
+  /// Static slot whose frame is on the wire (0 = none): its delivery runs
+  /// the next boundary.
+  std::size_t tx_slot_ = 0;
 
   net::BusStats stats_;
   net::FaultHook fault_hook_;

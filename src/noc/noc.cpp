@@ -47,9 +47,14 @@ void Noc::start() {
   if (started_) throw std::logic_error("Noc::start called twice");
   if (interfaces_.empty()) throw std::logic_error("Noc::start with no cores");
   started_ = true;
-  if (cfg_.arbitration == Arbitration::kTdma) {
-    kernel_.schedule_at(kernel_.now(), [this] { run_tdma_slot(0); },
-                        sim::EventOrder::kHardware);
+  if (cfg_.arbitration != Arbitration::kTdma) return;
+  origin_ = kernel_.now();
+  armed_.resize(interfaces_.size());
+  // Messages queued before start() go out in their core's first slot.
+  for (std::size_t c = 0; c < interfaces_.size(); ++c) {
+    if (!interfaces_[c]->queue_.empty()) {
+      arm_at(c, origin_ + static_cast<Duration>(c) * cfg_.slot_len);
+    }
   }
 }
 
@@ -73,14 +78,42 @@ void Noc::inject_babble(int core, std::size_t burst_bytes, Duration interval,
 }
 
 void Noc::notify_pending(int core) {
-  (void)core;
-  if (cfg_.arbitration == Arbitration::kFcfs) try_fcfs();
-  // TDMA mode drains queues at slot boundaries only.
+  if (cfg_.arbitration == Arbitration::kFcfs) {
+    try_fcfs();
+    return;
+  }
+  // TDMA mode drains queues at slot boundaries only. A queue that was
+  // already non-empty is armed or covered.
+  const auto c = static_cast<std::size_t>(core);
+  if (started_ && interfaces_[c]->queue_.size() == 1) arm_tdma_slot(c);
+}
+
+void Noc::arm_tdma_slot(std::size_t core) {
+  const Time now = kernel_.now();
+  const Duration p = period();
+  const Time first = origin_ + static_cast<Duration>(core) * cfg_.slot_len;
+  Time when = first;
+  if (now > first) when += (now - first + p - 1) / p * p;
+  // A send at the slot's exact start makes it only while the slot is still
+  // ahead of the sender: not yet run, and the sender ordered no later than
+  // the kHardware boundary events of that instant.
+  if (when == now &&
+      (last_slot_ == now || kernel_.passed(sim::EventOrder::kHardware))) {
+    when += p;
+  }
+  if (when != covered_) arm_at(core, when);
+}
+
+void Noc::arm_at(std::size_t core, Time when) {
+  armed_[core] = kernel_.schedule_at(
+      when, [this, core] { run_tdma_slot(core); }, sim::EventOrder::kHardware);
 }
 
 void Noc::run_tdma_slot(std::size_t core) {
+  last_slot_ = kernel_.now();
   NetworkInterface& ni = *interfaces_[core];
   const Time slot_end = kernel_.now() + cfg_.slot_len;
+  const std::size_t next = (core + 1) % interfaces_.size();
   // Drain as many whole messages as fit in this slot (guardian: the NI can
   // never transmit outside [now, slot_end), whatever the core does).
   Time cursor = kernel_.now();
@@ -90,15 +123,30 @@ void Noc::run_tdma_slot(std::size_t core) {
     NocMessage msg = std::move(ni.queue_.front());
     ni.queue_.pop_front();
     const Time done = cursor + t;
-    kernel_.schedule_at(
-        done,
-        [this, msg = std::move(msg)]() mutable { deliver(std::move(msg)); },
-        sim::EventOrder::kHardware);
+    if (done != slot_end) {
+      kernel_.schedule_at(
+          done,
+          [this, msg = std::move(msg)]() mutable { deliver(std::move(msg)); },
+          sim::EventOrder::kHardware);
+    } else {
+      // Lands on the next core's slot start: that slot runs right after
+      // this delivery, inside the same event.
+      kernel_.cancel(armed_[next]);
+      covered_ = slot_end;
+      kernel_.schedule_at(
+          done,
+          [this, msg = std::move(msg), next]() mutable {
+            deliver(std::move(msg));
+            covered_ = sim::kForever;
+            run_tdma_slot(next);
+          },
+          sim::EventOrder::kHardware);
+    }
     cursor = done;
   }
-  const std::size_t next = (core + 1) % interfaces_.size();
-  kernel_.schedule_at(slot_end, [this, next] { run_tdma_slot(next); },
-                      sim::EventOrder::kHardware);
+  // Backlog: the core's next slot (with one core, the covered one above).
+  const Time again = kernel_.now() + period();
+  if (!ni.queue_.empty() && again != covered_) arm_at(core, again);
 }
 
 void Noc::try_fcfs() {

@@ -103,7 +103,10 @@ class Noc {
 
   NetworkInterface& attach(std::string core_name);
 
-  /// Start arbitration (TDMA slot rotation). Call once after attaches.
+  /// Start arbitration. Call once after attaches. In TDMA mode core c's
+  /// slots start at start() + (m * cores + c) * slot_len: fixed arithmetic,
+  /// not a chain of events. A slot costs a kernel event only when its core
+  /// has a queued message; an idle slot is free.
   void start();
 
   /// Inject a babbling-idiot fault: `core` floods the NoC with `burst_bytes`
@@ -132,6 +135,14 @@ class Noc {
   friend class NetworkInterface;
 
   void notify_pending(int core);
+  /// Arm `core`'s next slot start that the rotation has not yet passed,
+  /// unless a delivery landing on that start already covers it.
+  void arm_tdma_slot(std::size_t core);
+  void arm_at(std::size_t core, Time when);
+  /// One TDMA slot of `core`, starting now: drain the whole messages that
+  /// fit, re-arm the core's next slot if a backlog remains. Runs from the
+  /// core's armed event, or inside the previous slot's last delivery when
+  /// that lands exactly on this slot's start.
   void run_tdma_slot(std::size_t core);
   void try_fcfs();
   void deliver(NocMessage msg);
@@ -143,6 +154,15 @@ class Noc {
   std::vector<std::unique_ptr<NetworkInterface>> interfaces_;
   bool started_ = false;
   bool link_busy_ = false;  ///< FCFS mode only.
+  // TDMA mode only:
+  Time origin_ = 0;  ///< Start of core 0's first slot.
+  std::vector<sim::EventHandle> armed_;  ///< Per core.
+  /// Instant of the last slot run; slot instants are distinct, so this tells
+  /// whether a slot starting at now() has been passed.
+  Time last_slot_ = -1;
+  /// Slot start on which a pending delivery lands (kForever = none): that
+  /// delivery runs the slot.
+  Time covered_ = sim::kForever;
   std::uint64_t delivered_ = 0;
 };
 

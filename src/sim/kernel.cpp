@@ -159,6 +159,7 @@ Time Kernel::run_until(Time horizon) {
       continue;
     }
     now_ = item.when;
+    current_order_ = static_cast<int>(item.order_slot >> 32);
     ++executed_;
     if (s.period > 0) {
       // Run the pooled action in place (moved out for the call: the pool may
@@ -179,7 +180,10 @@ Time Kernel::run_until(Time horizon) {
       action();
     }
   }
-  if (!stopped_ && now_ < horizon && horizon != kForever) now_ = horizon;
+  if (!stopped_) {
+    current_order_ = kDrained;
+    if (now_ < horizon && horizon != kForever) now_ = horizon;
+  }
   return now_;
 }
 

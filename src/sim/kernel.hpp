@@ -125,6 +125,15 @@ class Kernel {
   /// Request the run loop to stop after the current event.
   void stop() { stopped_ = true; }
 
+  /// True once every event of class `order` due at now() has run: the
+  /// event executing now (or the last one run at now()) belongs to a later
+  /// class, or run_until drained the instant. False before the first event
+  /// ever runs. Lets a component that schedules lazily tell whether a
+  /// boundary it owns at now() is already behind the caller.
+  [[nodiscard]] bool passed(EventOrder order) const {
+    return current_order_ > static_cast<int>(order);
+  }
+
   /// Number of events executed so far (diagnostics / perf counters).
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
@@ -192,6 +201,11 @@ class Kernel {
   std::uint64_t wheel_scheduled_ = 0;
   std::uint64_t wheel_flushed_ = 0;
   bool stopped_ = false;
+  /// Order class of the event executing at now() (or the last one run);
+  /// -1 before any event has run, kDrained once run_until has run every
+  /// event at now().
+  int current_order_ = -1;
+  static constexpr int kDrained = 1 << 30;
 
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t slot);

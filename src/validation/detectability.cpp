@@ -1,6 +1,8 @@
 #include "validation/detectability.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -126,10 +128,12 @@ World build_world(const vfb::Composition& model, const DeploymentPlan& plan) {
 
 // --- Monitor inventory --------------------------------------------------------
 
-/// A compiled plane plus the atom it observes.
+/// A compiled plane plus the atom it observes; range planes carry the
+/// contracted range they check values against.
 struct Plane {
   MonitorPlane pub;
   Atom atom;
+  std::optional<contracts::Interval> range;
 };
 
 /// The compiled planes, read off the elaboration's monitor specs: deadline
@@ -144,10 +148,11 @@ std::vector<Plane> build_planes(const vfb::Elaboration& elab,
                                 const ContractMap& contracts) {
   std::vector<Plane> planes;
   const auto add = [&planes](MonitorPlane::Kind kind, std::string contract,
-                             Atom atom, std::string blame) {
+                             Atom atom, std::string blame,
+                             std::optional<contracts::Interval> range = {}) {
     planes.push_back(Plane{MonitorPlane{kind, std::move(contract),
                                         render(atom), std::move(blame)},
-                           std::move(atom)});
+                           std::move(atom), range});
   };
 
   std::set<std::string> periodic;
@@ -180,11 +185,11 @@ std::vector<Plane> build_planes(const vfb::Elaboration& elab,
       if (r->category == "rte.deliver") {
         add(MonitorPlane::Kind::kRangeDeliver, r->contract,
             Atom{Atom::Kind::kDeliverValue, r->subject},
-            first_segment(r->report_subject));
+            first_segment(r->report_subject), r->range);
       } else {
         add(MonitorPlane::Kind::kRangeWrite, r->contract,
             Atom{Atom::Kind::kWriteValue, r->subject},
-            first_segment(r->subject));
+            first_segment(r->subject), r->range);
       }
     } else if (const auto* l = std::get_if<rv::LatencySpec>(&m.spec)) {
       // Latency monitors watch one delivery edge (producer write ->
@@ -354,6 +359,31 @@ std::set<Atom> perturbation_of(const fi::Fault& f, const World& w,
   return atoms;
 }
 
+/// Whether a stuck-at fault's value reaches `atom` unchanged: the write
+/// under a stuck key, or the delivery into a slot fed only by stuck keys.
+/// Past a runnable the value is recomputed, so it is unknown there.
+bool carries_stuck_value(const Atom& atom, const fi::Fault& f,
+                         const World& w) {
+  if (atom.kind == Atom::Kind::kWriteValue) {
+    return fi::key_matches(f.target, atom.key);
+  }
+  if (atom.kind != Atom::Kind::kDeliverValue) return false;
+  bool fed = false;
+  for (const auto& e : w.edges) {
+    if (e.receiver_key != atom.key) continue;
+    if (!fi::key_matches(f.target, e.producer_key)) return false;
+    fed = true;
+  }
+  return fed;
+}
+
+/// A range plane cannot see a stuck-at value that lies inside its range.
+bool sees(const Plane& p, const fi::Fault& f, const World& w) {
+  return f.kind != fi::FaultKind::kStuckAt || !p.range.has_value() ||
+         !p.range->contains(static_cast<std::int64_t>(f.value)) ||
+         !carries_stuck_value(p.atom, f, w);
+}
+
 FaultVerdict judge(const fi::Fault& f, const World& w,
                    const DeploymentPlan& plan,
                    const std::vector<Plane>& planes) {
@@ -366,7 +396,7 @@ FaultVerdict judge(const fi::Fault& f, const World& w,
   bool any_in_domain = false;
   bool all_in_domain = true;
   for (const auto& p : planes) {
-    if (atoms.count(p.atom) == 0) continue;
+    if (atoms.count(p.atom) == 0 || !sees(p, f, w)) continue;
     v.observers.push_back(p.pub);
     if (domain.contains(p.pub.blame)) {
       any_in_domain = true;
@@ -380,10 +410,32 @@ FaultVerdict judge(const fi::Fault& f, const World& w,
   return v;
 }
 
+/// A stuck-at value that no range plane meeting `key`'s value unchanged
+/// accepts, so the canonical stuck-at stays visible to every range plane it
+/// reaches: one above the highest such range, or one below the lowest.
+std::uint64_t out_of_range_value(const std::string& key,
+                                 const contracts::Interval& own,
+                                 const World& w,
+                                 const std::vector<Plane>& planes) {
+  const fi::Fault probe{.kind = fi::FaultKind::kStuckAt, .target = key};
+  contracts::Interval span = own;
+  for (const auto& p : planes) {
+    if (p.range.has_value() && carries_stuck_value(p.atom, probe, w)) {
+      span.lo = std::min(span.lo, p.range->lo);
+      span.hi = std::max(span.hi, p.range->hi);
+    }
+  }
+  if (span.hi < INT64_MAX) return static_cast<std::uint64_t>(span.hi + 1);
+  if (span.lo > INT64_MIN) return static_cast<std::uint64_t>(span.lo - 1);
+  return static_cast<std::uint64_t>(own.hi < INT64_MAX ? own.hi + 1
+                                                       : own.lo - 1);
+}
+
 /// The canonical per-model fault inventory check_detectability judges: one
 /// representative per plane the deployment can physically express.
 std::vector<fi::Fault> canonical_faults(const ContractMap& contracts,
                                         const World& w,
+                                        const std::vector<Plane>& planes,
                                         const vfb::Composition& model) {
   std::vector<fi::Fault> faults;
   const bool networked =
@@ -409,7 +461,9 @@ std::vector<fi::Fault> canonical_faults(const ContractMap& contracts,
       resolvable_guarantee = resolvable_guarantee || !keys.empty();
       if (g.range.unbounded()) continue;
       for (const auto& key : keys) {
-        faults.push_back({.kind = fi::FaultKind::kStuckAt, .target = key});
+        const std::uint64_t value = out_of_range_value(key, g.range, w, planes);
+        faults.push_back(
+            {.kind = fi::FaultKind::kStuckAt, .target = key, .value = value});
       }
     }
     if (!resolvable_guarantee || w.writes_of.count(instance) == 0) continue;
@@ -476,7 +530,8 @@ void check_detectability(
 
   const World w = build_world(model, plan);
   const std::vector<Plane> planes = build_planes(elab, plan, contracts);
-  const std::vector<fi::Fault> faults = canonical_faults(contracts, w, model);
+  const std::vector<fi::Fault> faults =
+      canonical_faults(contracts, w, planes, model);
 
   for (const auto& f : faults) {
     const FaultVerdict v = judge(f, w, plan, planes);

@@ -410,10 +410,15 @@ TEST(FiCrossCheck, StaticVerdictsPredictCampaignOutcomes) {
   // in the static analysis alike.
   faults.push_back(Fault{.kind = FaultKind::kValueCorrupt});
   faults.push_back(Fault{.kind = FaultKind::kStuckAt, .value = 4000});
+  // A stuck-at inside the contracted range [0, 1000]: no range plane can
+  // tell it from a legitimate reading.
+  faults.push_back(Fault{
+      .kind = FaultKind::kStuckAt, .target = "pedal.out.pos", .value = 500});
 
   const auto analysis = orte::validation::analyze_detectability(
       bundle.model, bundle.plan, bundle.model.bound_contracts(), faults);
   ASSERT_EQ(analysis.verdicts.size(), faults.size());
+  EXPECT_FALSE(analysis.verdicts.back().detectable);
 
   fi::CampaignConfig cfg;
   cfg.seed = 42;

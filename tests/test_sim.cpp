@@ -639,6 +639,29 @@ TEST(Kernel, GoldenEventOrderMatchesFlatHeapKernel) {
   EXPECT_EQ(fired, 770u);
 }
 
+TEST(Kernel, PassedReportsWhetherAnOrderClassIsBehindTheCurrentEvent) {
+  Kernel k;
+  EXPECT_FALSE(k.passed(EventOrder::kHardware));  // nothing has run yet
+  std::vector<bool> seen;
+  k.schedule_at(
+      10, [&] { seen.push_back(k.passed(EventOrder::kHardware)); },
+      EventOrder::kHardware);
+  k.schedule_at(
+      10,
+      [&] {
+        seen.push_back(k.passed(EventOrder::kHardware));
+        seen.push_back(k.passed(EventOrder::kSoftware));
+      },
+      EventOrder::kSoftware);
+  k.schedule_at(
+      20, [&] { seen.push_back(k.passed(EventOrder::kHardware)); },
+      EventOrder::kHardware);
+  k.run_until(15);
+  EXPECT_TRUE(k.passed(EventOrder::kObserver));  // the instant is drained
+  k.run_until(30);
+  EXPECT_EQ(seen, (std::vector<bool>{false, true, false, false}));
+}
+
 // --- EventHandle generation safety -------------------------------------------
 
 TEST(Kernel, CancelAfterFireIsANoOp) {

@@ -14,11 +14,11 @@
 #include "bsw/nvm.hpp"
 #include "contracts/contract.hpp"
 #include "contracts/network.hpp"
+#include "os/ecu.hpp"
 #include "sim/kernel.hpp"
 #include "sim/trace.hpp"
 #include "vfb/model.hpp"
 #include "vfb/rte.hpp"
-#include "vfb/system.hpp"
 
 using namespace orte;
 
@@ -44,56 +44,44 @@ void print_inventory() {
   std::puts("");
 }
 
-struct RteFixture {
+void BM_RteLocalWriteRead(benchmark::State& state) {
+  // One explicit Rte_Write through the producer's context, delivered along
+  // a same-ECU route, then one explicit Rte_Read through the consumer's: the
+  // path every runnable pays, trace records included. The RTE is wired the
+  // way vfb::System binds it, with dense slot/sender/binding IDs.
   sim::Kernel kernel;
   sim::Trace trace;
-  vfb::Composition comp;
-  std::unique_ptr<vfb::System> sys;
-  bsw::Com* com = nullptr;
+  trace.enable_retention(false);
+  const vfb::Composition comp;  // only client-server calls consult it
+  const vfb::DataElement val{"val", 32, 0, false};
+  std::uint64_t written = 0;
+  std::uint64_t last_read = 0;
+  vfb::Runnable produce;
+  produce.name = "produce";
+  produce.accesses.push_back(
+      {"out", "val", vfb::DataAccessKind::kExplicitWrite});
+  produce.behavior = [&written](vfb::RunnableContext& ctx) {
+    ctx.write("out", "val", ++written);
+  };
+  vfb::Runnable consume;
+  consume.name = "consume";
+  consume.accesses.push_back({"in", "val", vfb::DataAccessKind::kExplicitRead});
+  consume.behavior = [&last_read](vfb::RunnableContext& ctx) {
+    last_read = ctx.read("in", "val");
+  };
 
-  RteFixture() {
-    trace.enable_retention(false);
-    vfb::PortInterface ival;
-    ival.name = "IVal";
-    ival.elements.push_back(vfb::DataElement{"val", 32, 0, false});
-    comp.add_interface(ival);
-    vfb::Runnable produce;
-    produce.name = "produce";
-    produce.trigger = vfb::RunnableTrigger::timing(sim::milliseconds(10));
-    produce.accesses.push_back(
-        {"out", "val", vfb::DataAccessKind::kExplicitWrite});
-    comp.add_type({"P",
-                   {vfb::Port{"out", "IVal", vfb::PortDirection::kProvided}},
-                   {produce}});
-    vfb::Runnable consume;
-    consume.name = "consume";
-    consume.trigger = vfb::RunnableTrigger::timing(sim::milliseconds(10));
-    consume.accesses.push_back(
-        {"in", "val", vfb::DataAccessKind::kExplicitRead});
-    comp.add_type({"C",
-                   {vfb::Port{"in", "IVal", vfb::PortDirection::kRequired}},
-                   {consume}});
-    comp.add_instance({"p", "P"});
-    comp.add_instance({"c", "C"});
-    comp.add_connector({"p", "out", "c", "in"});
-    vfb::DeploymentPlan plan;
-    plan.instances["p"] = {.ecu = "e"};
-    plan.instances["c"] = {.ecu = "e"};
-    sys = std::make_unique<vfb::System>(kernel, trace, comp, plan);
-  }
-};
-
-void BM_RteLocalWriteRead(benchmark::State& state) {
-  RteFixture fx;
-  auto& rte = fx.sys->rte("e");
-  const std::string sender = vfb::Rte::key("p", "out", "val");
-  const std::string receiver = vfb::Rte::key("c", "in", "val");
-  std::uint64_t v = 0;
+  vfb::Rte rte(kernel, trace, comp, "e");
+  const auto sender = rte.add_sender("p.out.val");
+  const auto slot = rte.add_slot("c.in.val", val);
+  rte.add_route(sender, slot);
+  const auto producer = rte.bind("p", produce, {sender});
+  const auto consumer = rte.bind("c", consume, {slot});
   for (auto _ : state) {
-    rte.deliver(receiver, ++v);
-    benchmark::DoNotOptimize(rte.peek(receiver));
+    rte.run_behavior(producer);
+    rte.run_behavior(consumer);
+    benchmark::DoNotOptimize(last_read);
   }
-  (void)sender;
+  if (last_read != written) state.SkipWithError("the read lost the write");
 }
 BENCHMARK(BM_RteLocalWriteRead);
 

@@ -9,7 +9,7 @@ namespace orte::analysis {
 std::optional<Duration> can_response_time(const CanMessage& msg,
                                           const std::vector<CanMessage>& all,
                                           std::int64_t bitrate_bps) {
-  const Duration tau_bit = 1'000'000'000 / bitrate_bps;
+  const Duration tau_bit = net::bit_time(bitrate_bps, "CAN bitrate");
   const Duration c_m = can::frame_transmission_time(msg.bytes, bitrate_bps);
   // Blocking: longest lower-priority (higher id) frame already on the wire.
   Duration blocking = 0;

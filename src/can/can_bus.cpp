@@ -43,12 +43,8 @@ CanBus::CanBus(sim::Kernel& kernel, sim::Trace& trace, CanConfig cfg)
     : kernel_(kernel),
       trace_(trace),
       cfg_(std::move(cfg)),
-      bit_time_(1'000'000'000 / cfg_.bitrate_bps),
-      rng_(cfg_.seed) {
-  if (cfg_.bitrate_bps <= 0) {
-    throw std::invalid_argument("CAN bitrate must be positive");
-  }
-}
+      bit_time_(net::bit_time(cfg_.bitrate_bps, "CAN bitrate")),
+      rng_(cfg_.seed) {}
 
 CanController& CanBus::attach() {
   const int node = static_cast<int>(controllers_.size());
@@ -61,9 +57,8 @@ Duration frame_transmission_time(std::size_t bytes, std::int64_t bitrate_bps) {
   // Standard-format data frame, worst-case bit stuffing (Davis et al.,
   // "Controller Area Network schedulability analysis", RTSJ 2007):
   //   C = (55 + 10 * n) * tau_bit   for n data bytes.
-  const Duration bit_time = 1'000'000'000 / bitrate_bps;
   return static_cast<Duration>(55 + 10 * static_cast<std::int64_t>(bytes)) *
-         bit_time;
+         net::bit_time(bitrate_bps, "CAN bitrate");
 }
 
 Duration CanBus::frame_time(std::size_t bytes) const {

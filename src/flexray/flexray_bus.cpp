@@ -28,7 +28,7 @@ void FlexRayController::send(Frame frame) {
 }
 
 Duration FlexRayBus::slot_length(const FlexRayConfig& cfg) {
-  const Duration bit_time = 1'000'000'000 / cfg.bitrate_bps;
+  const Duration bit_time = net::bit_time(cfg.bitrate_bps, "FlexRay bitrate");
   return static_cast<Duration>(
              (kOverheadBytes +
               static_cast<std::int64_t>(cfg.static_payload_bytes)) *
@@ -48,8 +48,8 @@ FlexRayBus::FlexRayBus(sim::Kernel& kernel, sim::Trace& trace,
     : kernel_(kernel),
       trace_(trace),
       cfg_(std::move(cfg)),
-      bit_time_(1'000'000'000 / cfg_.bitrate_bps) {
-  if (cfg_.bitrate_bps <= 0 || cfg_.static_slots == 0) {
+      bit_time_(net::bit_time(cfg_.bitrate_bps, "FlexRay bitrate")) {
+  if (cfg_.static_slots == 0) {
     throw std::invalid_argument("FlexRay config invalid");
   }
   static_slot_len_ = slot_length(cfg_);

@@ -25,13 +25,9 @@ LinBus::LinBus(sim::Kernel& kernel, sim::Trace& trace, LinConfig cfg)
     : kernel_(kernel),
       trace_(trace),
       cfg_(std::move(cfg)),
-      bit_time_(1'000'000'000 / cfg_.bitrate_bps),
+      bit_time_(net::bit_time(cfg_.bitrate_bps, "LIN bitrate")),
       responses_(kMaxFrameId + 1),
-      rng_(cfg_.seed) {
-  if (cfg_.bitrate_bps <= 0) {
-    throw std::invalid_argument("LIN bitrate must be positive");
-  }
-}
+      rng_(cfg_.seed) {}
 
 LinNode& LinBus::attach(std::string name) {
   if (started_) throw std::logic_error("LinBus::attach after start()");

@@ -6,6 +6,7 @@
 #include <functional>
 #include <initializer_list>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,15 @@ namespace orte::net {
 
 using sim::Duration;
 using sim::Time;
+
+/// Nanoseconds per bit at `bits_per_second`; a non-positive rate throws
+/// std::invalid_argument ("<what> must be positive") instead of dividing.
+inline Duration bit_time(std::int64_t bits_per_second, const char* what) {
+  if (bits_per_second <= 0) {
+    throw std::invalid_argument(std::string(what) + " must be positive");
+  }
+  return 1'000'000'000 / bits_per_second;
+}
 
 /// Immutable, cheaply-copyable frame payload. A frame fans out to every
 /// receiving controller and often gets retained by several BSW layers

@@ -29,8 +29,8 @@ Noc::Noc(sim::Kernel& kernel, sim::Trace& trace, NocConfig cfg)
     : kernel_(kernel),
       trace_(trace),
       cfg_(std::move(cfg)),
-      bit_time_(1'000'000'000 / cfg_.link_bandwidth_bps) {
-  if (cfg_.link_bandwidth_bps <= 0 || cfg_.slot_len <= 0) {
+      bit_time_(net::bit_time(cfg_.link_bandwidth_bps, "NoC link bandwidth")) {
+  if (cfg_.slot_len <= 0) {
     throw std::invalid_argument("NoC config invalid");
   }
 }

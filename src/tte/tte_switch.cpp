@@ -13,11 +13,7 @@ TteSwitch::TteSwitch(sim::Kernel& kernel, sim::Trace& trace, TteConfig cfg)
     : kernel_(kernel),
       trace_(trace),
       cfg_(std::move(cfg)),
-      bit_time_(1'000'000'000 / cfg_.link_bandwidth_bps) {
-  if (cfg_.link_bandwidth_bps <= 0) {
-    throw std::invalid_argument("TTE link bandwidth must be positive");
-  }
-}
+      bit_time_(net::bit_time(cfg_.link_bandwidth_bps, "TTE link bandwidth")) {}
 
 TteEndpoint& TteSwitch::attach(std::string name) {
   if (started_) throw std::logic_error("TteSwitch::attach after start()");

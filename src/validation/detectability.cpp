@@ -82,46 +82,22 @@ std::string render(const Atom& a) {
 
 // --- World model --------------------------------------------------------------
 
-/// One connector edge at element granularity, with deployment context.
-struct Edge {
-  std::string producer_key;  ///< Sender slot key ("rte.write" subject).
-  std::string receiver_key;  ///< Receiver slot key ("rte.deliver" subject).
-  std::string src_instance;
-  std::string dst_instance;
-  std::string src_ecu;  ///< Empty when the producer is not deployed.
-  bool cross_ecu = false;
-};
-
-/// The V8 slot dataflow graph plus deployment context.
+/// The V8 slot dataflow graph over the deployed route table.
 struct World {
   FlowGraph graph;
-  std::vector<Edge> edges;  ///< Parallel to graph.edges.
   /// Instance -> every sender slot key its runnables write.
   std::map<std::string, std::set<std::string>> writes_of;
   /// Instances with at least one timing-triggered runnable.
   std::set<std::string> periodic_instances;
 };
 
-World build_world(const vfb::Composition& model, const DeploymentPlan& plan) {
-  World w{build_flow_graph(model), {}, {}, {}};
+World build_world(const vfb::RouteTable& table) {
+  World w{build_flow_graph(table), {}, {}};
   for (const auto& rf : w.graph.runnables) {
     if (rf.runnable->trigger.kind == RunnableTrigger::Kind::kTiming) {
-      w.periodic_instances.insert(*rf.instance);
+      w.periodic_instances.insert(rf.instance);
     }
-    for (const auto& key : rf.writes) w.writes_of[*rf.instance].insert(key);
-  }
-  const auto ecu_of = [&plan](const std::string& instance) -> std::string {
-    const auto it = plan.instances.find(instance);
-    return it == plan.instances.end() ? std::string() : it->second.ecu;
-  };
-  for (const auto& se : w.graph.edges) {
-    const vfb::Connector& c = *se.connector;
-    Edge e{se.from, se.to, c.from_instance, c.to_instance,
-           ecu_of(c.from_instance), false};
-    const std::string dst_ecu = ecu_of(c.to_instance);
-    e.cross_ecu =
-        !e.src_ecu.empty() && !dst_ecu.empty() && e.src_ecu != dst_ecu;
-    w.edges.push_back(std::move(e));
+    for (const auto& key : rf.writes) w.writes_of[rf.instance].insert(key);
   }
   return w;
 }
@@ -238,8 +214,8 @@ void propagate_values(const World& w, std::set<std::string>& writes,
   bool changed = true;
   while (changed) {
     changed = false;
-    for (const auto& e : w.edges) {
-      if (writes.count(e.producer_key) != 0 &&
+    for (const auto& e : w.graph.edges) {
+      if (writes.count(e.sender_key) != 0 &&
           delivers.insert(e.receiver_key).second) {
         changed = true;
       }
@@ -261,9 +237,9 @@ void propagate_values(const World& w, std::set<std::string>& writes,
 std::set<Atom> perturbation_of(const fi::Fault& f, const World& w,
                                const DeploymentPlan& plan) {
   std::set<Atom> atoms;
-  const auto add_delivery = [&atoms](const Edge& e) {
-    atoms.insert(
-        Atom{Atom::Kind::kDelivery, e.producer_key + " -> " + e.dst_instance});
+  const auto add_delivery = [&atoms](const vfb::Route& e) {
+    atoms.insert(Atom{Atom::Kind::kDelivery,
+                      e.sender_key + " -> " + e.connector->to_instance});
   };
   switch (f.kind) {
     case fi::FaultKind::kFrameDrop:
@@ -271,9 +247,9 @@ std::set<Atom> perturbation_of(const fi::Fault& f, const World& w,
       // Frames exist only on cross-ECU edges; the target is a frame-name
       // substring which the analysis approximates against the producer
       // key ("" = every frame).
-      for (const auto& e : w.edges) {
+      for (const auto& e : w.graph.edges) {
         if (e.cross_ecu && (f.target.empty() ||
-                            e.producer_key.find(f.target) != std::string::npos)) {
+                            e.sender_key.find(f.target) != std::string::npos)) {
           add_delivery(e);
         }
       }
@@ -281,9 +257,9 @@ std::set<Atom> perturbation_of(const fi::Fault& f, const World& w,
     case fi::FaultKind::kFrameCorrupt: {
       std::set<std::string> writes;
       std::set<std::string> delivers;
-      for (const auto& e : w.edges) {
+      for (const auto& e : w.graph.edges) {
         if (e.cross_ecu && (f.target.empty() ||
-                            e.producer_key.find(f.target) != std::string::npos)) {
+                            e.sender_key.find(f.target) != std::string::npos)) {
           delivers.insert(e.receiver_key);
         }
       }
@@ -301,7 +277,7 @@ std::set<Atom> perturbation_of(const fi::Fault& f, const World& w,
       // contain the babbler structurally (static slots) — it perturbs
       // NOTHING a component-level monitor could see.
       if (plan.bus == vfb::BusKind::kCan) {
-        for (const auto& e : w.edges) {
+        for (const auto& e : w.graph.edges) {
           if (e.cross_ecu) add_delivery(e);
         }
       }
@@ -345,14 +321,14 @@ std::set<Atom> perturbation_of(const fi::Fault& f, const World& w,
           atoms.insert(Atom{Atom::Kind::kWriteTiming, key});
         }
       }
-      for (const auto& e : w.edges) {
-        if (e.src_instance == f.target) add_delivery(e);
+      for (const auto& e : w.graph.edges) {
+        if (e.connector->from_instance == f.target) add_delivery(e);
       }
       break;
     }
     case fi::FaultKind::kClockDrift:
-      for (const auto& e : w.edges) {
-        if (e.cross_ecu && e.src_ecu == f.target) add_delivery(e);
+      for (const auto& e : w.graph.edges) {
+        if (e.cross_ecu && e.from_ecu == f.target) add_delivery(e);
       }
       break;
   }
@@ -369,9 +345,9 @@ bool carries_stuck_value(const Atom& atom, const fi::Fault& f,
   }
   if (atom.kind != Atom::Kind::kDeliverValue) return false;
   bool fed = false;
-  for (const auto& e : w.edges) {
+  for (const auto& e : w.graph.edges) {
     if (e.receiver_key != atom.key) continue;
-    if (!fi::key_matches(f.target, e.producer_key)) return false;
+    if (!fi::key_matches(f.target, e.sender_key)) return false;
     fed = true;
   }
   return fed;
@@ -439,15 +415,15 @@ std::vector<fi::Fault> canonical_faults(const ContractMap& contracts,
                                         const vfb::Composition& model) {
   std::vector<fi::Fault> faults;
   const bool networked =
-      std::any_of(w.edges.begin(), w.edges.end(),
-                  [](const Edge& e) { return e.cross_ecu; });
+      std::any_of(w.graph.edges.begin(), w.graph.edges.end(),
+                  [](const vfb::Route& e) { return e.cross_ecu; });
   if (networked) {
     faults.push_back({.kind = fi::FaultKind::kFrameDrop});
     faults.push_back({.kind = fi::FaultKind::kFrameCorrupt});
     faults.push_back({.kind = fi::FaultKind::kBabblingIdiot});
     std::set<std::string> sourcing_ecus;
-    for (const auto& e : w.edges) {
-      if (e.cross_ecu) sourcing_ecus.insert(e.src_ecu);
+    for (const auto& e : w.graph.edges) {
+      if (e.cross_ecu) sourcing_ecus.insert(e.from_ecu);
     }
     for (const auto& ecu : sourcing_ecus) {
       faults.push_back({.kind = fi::FaultKind::kClockDrift, .target = ecu});
@@ -503,12 +479,11 @@ DetectabilityAnalysis analyze_detectability(
     const std::map<std::string, contracts::Contract, std::less<>>& contracts,
     const std::vector<fi::Fault>& faults) {
   DetectabilityAnalysis out;
-  const World w = build_world(model, plan);
-  const std::vector<Plane> planes =
-      plan.runtime_verification
-          ? build_planes(vfb::elaborate(model, plan, contracts), plan,
-                         contracts)
-          : std::vector<Plane>{};
+  const vfb::Elaboration elab = vfb::elaborate(model, plan, contracts);
+  const World w = build_world(elab);
+  const std::vector<Plane> planes = plan.runtime_verification
+                                        ? build_planes(elab, plan, contracts)
+                                        : std::vector<Plane>{};
   out.monitors.reserve(planes.size());
   for (const auto& p : planes) out.monitors.push_back(p.pub);
   out.verdicts.reserve(faults.size());
@@ -528,7 +503,7 @@ void check_detectability(
   // plane would be noise.
   if (!plan.runtime_verification || contracts.empty()) return;
 
-  const World w = build_world(model, plan);
+  const World w = build_world(elab);
   const std::vector<Plane> planes = build_planes(elab, plan, contracts);
   const std::vector<fi::Fault> faults =
       canonical_faults(contracts, w, planes, model);

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "analysis/holistic.hpp"
-#include "vfb/rte.hpp"
 
 namespace orte::validation {
 
@@ -21,9 +20,6 @@ using sim::Duration;
 using vfb::ComponentType;
 using vfb::Connector;
 using vfb::DeploymentPlan;
-using vfb::Port;
-using vfb::PortDirection;
-using vfb::PortInterface;
 using vfb::Runnable;
 using vfb::RunnableTrigger;
 
@@ -95,7 +91,7 @@ std::map<std::string, AbsVal> propagate_ranges(const ContractMap& contracts,
       }
     };
     for (const auto& rf : g.runnables) {
-      const auto cit = contracts.find(*rf.instance);
+      const auto cit = contracts.find(rf.instance);
       for (std::size_t i = 0; i < rf.writes.size(); ++i) {
         // A direct guarantee on the written flow is authoritative (the
         // component promises the range regardless of what it reads — V7
@@ -117,7 +113,7 @@ std::map<std::string, AbsVal> propagate_ranges(const ContractMap& contracts,
         if (rf.reads.empty()) {
           raise(rf.writes[i],
                 AbsVal::top("unconstrained writer " +
-                            dot(*rf.instance, rf.runnable->name)));
+                            dot(rf.instance, rf.runnable->name)));
           continue;
         }
         AbsVal relay = AbsVal::bottom();
@@ -125,7 +121,7 @@ std::map<std::string, AbsVal> propagate_ranges(const ContractMap& contracts,
         if (relay.kind != AbsVal::Kind::kBottom) raise(rf.writes[i], relay);
       }
     }
-    for (const auto& e : g.edges) raise(e.to, get(e.from));
+    for (const auto& e : g.edges) raise(e.receiver_key, get(e.sender_key));
   }
   return val;
 }
@@ -147,55 +143,35 @@ struct ChainEdge {
 };
 
 std::vector<ChainEdge> derive_edges(const vfb::Composition& model,
-                                    const DeploymentPlan& plan,
                                     const vfb::Elaboration& elab) {
   std::vector<ChainEdge> edges;
   std::set<std::tuple<std::string, std::string, std::string>> seen;
-  for (const auto& c : model.connectors()) {
-    const auto from_dep = plan.instances.find(c.from_instance);
-    const auto to_dep = plan.instances.find(c.to_instance);
-    if (from_dep == plan.instances.end() || to_dep == plan.instances.end()) {
+  for (const auto& route : elab.routes) {
+    if (route.from_ecu.empty() || route.to_ecu.empty() ||
+        model.find_type_of(route.connector->to_instance) == nullptr) {
       continue;
     }
-    const PortInterface* iface =
-        model.find_sr_interface(c.from_instance, c.from_port);
-    if (iface == nullptr) continue;
-    const ComponentType* to_type = model.find_type_of(c.to_instance);
-    if (to_type == nullptr) continue;
-    const bool cross = from_dep->second.ecu != to_dep->second.ecu;
-    for (const auto& elem : iface->elements) {
-      const std::string sender_key =
-          vfb::Rte::key(c.from_instance, c.from_port, elem.name);
-      const auto wit = elab.writer_task.find(sender_key);
-      if (wit == elab.writer_task.end()) continue;  // never written (V3)
-      const vfb::ElaboratedTask& writer = elab.tasks[wit->second];
-      // Rate-monotonic frame order by the writer's period.
-      const Duration sort_period =
-          writer.period > 0 ? writer.period : sim::kForever;
-      // Consuming event tasks of this element on the receiver.
-      bool any_event = false;
-      for (const auto& r : to_type->runnables) {
-        if (r.trigger.kind != RunnableTrigger::Kind::kDataReceived ||
-            r.trigger.port != c.to_port || r.trigger.element != elem.name) {
-          continue;
-        }
-        const vfb::ElaboratedTask* consumer =
-            elab.task_for(c.to_instance, r.name);
-        if (consumer == nullptr) continue;
-        any_event = true;
-        if (!seen.insert({sender_key, writer.name, consumer->name}).second) {
-          continue;
-        }
-        edges.push_back(ChainEdge{sender_key, writer.name, consumer->name,
-                                  to_dep->second.ecu, cross, sort_period});
+    const auto wit = elab.writer_task.find(route.sender_key);
+    if (wit == elab.writer_task.end()) continue;  // never written (V3)
+    const vfb::ElaboratedTask& writer = elab.tasks[wit->second];
+    // Rate-monotonic frame order by the writer's period.
+    const Duration sort_period =
+        writer.period > 0 ? writer.period : sim::kForever;
+    // Consuming event tasks of this element on the receiver.
+    for (const std::size_t ti : route.activates) {
+      const std::string& consumer = elab.tasks[ti].name;
+      if (seen.insert({route.sender_key, writer.name, consumer}).second) {
+        edges.push_back(ChainEdge{route.sender_key, writer.name, consumer,
+                                  route.to_ecu, route.cross_ecu,
+                                  sort_period});
       }
-      // Cross-ECU delivery without an event consumer still loads the bus.
-      if (cross && !any_event &&
-          seen.insert({sender_key, writer.name, "ecu:" + to_dep->second.ecu})
-              .second) {
-        edges.push_back(ChainEdge{sender_key, writer.name, {},
-                                  to_dep->second.ecu, true, sort_period});
-      }
+    }
+    // Cross-ECU delivery without an event consumer still loads the bus.
+    if (route.cross_ecu && route.activates.empty() &&
+        seen.insert({route.sender_key, writer.name, "ecu:" + route.to_ecu})
+            .second) {
+      edges.push_back(ChainEdge{route.sender_key, writer.name, {},
+                                route.to_ecu, true, sort_period});
     }
   }
   std::sort(edges.begin(), edges.end(),
@@ -214,43 +190,26 @@ std::vector<ChainEdge> derive_edges(const vfb::Composition& model,
 
 }  // namespace
 
-FlowGraph build_flow_graph(const vfb::Composition& model) {
+FlowGraph build_flow_graph(const vfb::RouteTable& table) {
   FlowGraph g;
-  for (const auto& inst : model.instances()) {
-    const ComponentType* type = model.find_type_of(inst.name);
-    if (type == nullptr) continue;
-    for (const auto& r : type->runnables) {
-      RunnableFlow rf;
-      rf.instance = &inst.name;
-      rf.runnable = &r;
-      for (const auto& acc : r.accesses) {
-        const std::string key = vfb::Rte::key(inst.name, acc.port, acc.element);
-        if (vfb::is_write(acc.kind)) {
-          rf.writes.push_back(key);
-          rf.write_ports.emplace_back(acc.port, acc.element);
-          g.written.insert(key);
-        } else {
-          rf.reads.push_back(key);
-        }
+  for (const auto& b : table.bindings) {
+    RunnableFlow rf;
+    rf.instance = b.instance;
+    rf.runnable = b.runnable;
+    for (std::size_t a = 0; a < b.keys.size(); ++a) {
+      const vfb::DataAccess& acc = b.runnable->accesses[a];
+      if (vfb::is_write(acc.kind)) {
+        rf.writes.push_back(b.keys[a]);
+        rf.write_ports.emplace_back(acc.port, acc.element);
+        g.written.insert(b.keys[a]);
+      } else {
+        rf.reads.push_back(b.keys[a]);
       }
-      if (r.trigger.kind == RunnableTrigger::Kind::kDataReceived) {
-        rf.reads.push_back(
-            vfb::Rte::key(inst.name, r.trigger.port, r.trigger.element));
-      }
-      g.runnables.push_back(std::move(rf));
     }
+    if (!b.trigger_key.empty()) rf.reads.push_back(b.trigger_key);
+    g.runnables.push_back(std::move(rf));
   }
-  for (const auto& c : model.connectors()) {
-    const PortInterface* iface =
-        model.find_sr_interface(c.from_instance, c.from_port);
-    if (iface == nullptr) continue;
-    for (const auto& elem : iface->elements) {
-      g.edges.push_back({vfb::Rte::key(c.from_instance, c.from_port, elem.name),
-                         vfb::Rte::key(c.to_instance, c.to_port, elem.name),
-                         &c});
-      g.fed.insert(g.edges.back().to);
-    }
-  }
+  g.edges = table.routes;
   return g;
 }
 
@@ -283,7 +242,7 @@ ChainAnalysis analyze_chains(const vfb::Composition& model,
                              const vfb::Elaboration& elab,
                              const ContractMap& contracts) {
   ChainAnalysis out;
-  const std::vector<ChainEdge> edges = derive_edges(model, plan, elab);
+  const std::vector<ChainEdge> edges = derive_edges(model, elab);
 
   // Periods must be derivable: chain heads carry their own, everything else
   // inherits through the edges. Tasks that stay period-free (event tasks
@@ -343,7 +302,9 @@ ChainAnalysis analyze_chains(const vfb::Composition& model,
     bus.use_flexray = true;
     bus.flexray = elab.flexray;
   }
-  const analysis::HolisticResult result = holistic.analyze(bus);
+  // A non-positive bitrate (V5) leaves the bus untimed: nothing is bounded.
+  analysis::HolisticResult result;
+  if (plan.bus_bitrate() > 0) result = holistic.analyze(bus);
   out.schedulable = result.schedulable;
   out.iterations = result.iterations;
 
@@ -400,8 +361,9 @@ ChainAnalysis analyze_chains(const vfb::Composition& model,
 }
 
 void check_flow_ranges(const vfb::Composition& model,
+                       const vfb::RouteTable& table,
                        const ContractMap& contracts, Diagnostics& out) {
-  const FlowGraph g = build_flow_graph(model);
+  const FlowGraph g = build_flow_graph(table);
   const std::map<std::string, AbsVal> val =
       propagate_ranges(contracts, g);
   const auto value = [&](const std::string& key) -> AbsVal {
@@ -413,28 +375,20 @@ void check_flow_ranges(const vfb::Composition& model,
   for (const auto& [instance, contract] : contracts) {
     for (const auto& a : contract.assumptions) {
       if (a.range.unbounded()) continue;
-      const vfb::FlowName f = vfb::split_flow(a.flow);
-      const Port* p = nullptr;
-      const PortInterface* iface =
-          model.find_sr_interface(instance, f.port, &p);
-      if (iface == nullptr || p->direction != PortDirection::kRequired) {
-        continue;
-      }
-      const Connector* conn = model.connection_to(instance, f.port);
-      if (conn == nullptr) continue;  // V3's finding, nothing flows
-      // A direct guarantee on the feeding flow is V7's jurisdiction — V8
-      // only reports what the pairwise check cannot see.
-      const auto pit = contracts.find(conn->from_instance);
-      for (const auto& elem : iface->elements) {
-        if (!f.element.empty() && elem.name != f.element) continue;
+      // Unconnected: V3's finding, nothing flows.
+      for (const vfb::Route* e :
+           vfb::routes_into(model, g.edges, instance, a.flow)) {
+        // A direct guarantee on the feeding flow is V7's jurisdiction — V8
+        // only reports what the pairwise check cannot see.
+        const Connector& conn = *e->connector;
+        const auto pit = contracts.find(conn.from_instance);
         if (pit != contracts.end() &&
-            flow_of(pit->second, conn->from_port, elem.name,
+            flow_of(pit->second, conn.from_port, e->element->name,
                     /*assume=*/false) != nullptr) {
           continue;
         }
-        const std::string key = vfb::Rte::key(instance, f.port, elem.name);
-        const AbsVal v = value(key);
-        const std::string subject = key;
+        const AbsVal v = value(e->receiver_key);
+        const std::string& subject = e->receiver_key;
         switch (v.kind) {
           case AbsVal::Kind::kBottom:
             break;  // nothing dynamic arrives: V3/V12 territory
@@ -491,7 +445,7 @@ void check_flow_ranges(const vfb::Composition& model,
       for (const auto& read : rf.reads) produces = produces || prod(read);
       for (const auto& w : rf.writes) raise(w, produces);
     }
-    for (const auto& e : g.edges) raise(e.to, prod(e.from));
+    for (const auto& e : g.edges) raise(e.receiver_key, prod(e.sender_key));
   }
   // Backward: does a written value ever reach a terminal consumer? A reader
   // that writes nothing consumes; a relay consumes iff something it writes
@@ -515,7 +469,7 @@ void check_flow_ranges(const vfb::Composition& model,
       for (const auto& w : rf.writes) consumes = consumes || cons(w);
       for (const auto& read : rf.reads) raise(read, consumes);
     }
-    for (const auto& e : g.edges) raise(e.from, cons(e.to));
+    for (const auto& e : g.edges) raise(e.sender_key, cons(e.receiver_key));
   }
 
   // Fire only where V3 stays silent: the immediate link is fine, the chain
@@ -523,12 +477,15 @@ void check_flow_ranges(const vfb::Composition& model,
   std::set<std::string> reported;
   for (const auto& rf : g.runnables) {
     for (const auto& read : rf.reads) {
-      if (prod(read) || !g.fed.count(read)) continue;  // unfed: V3 warning
-      // The feeding slot must itself be written (else V3 flags the element
-      // as never written) — V12 adds the *transitive* case.
+      if (prod(read)) continue;
+      // The slot must be fed (else V3 warns) by a written slot (else V3
+      // flags the element as never written) — V12 adds the *transitive*
+      // case.
       bool fed_by_written = false;
       for (const auto& e : g.edges) {
-        if (e.to == read && g.written.count(e.from)) fed_by_written = true;
+        if (e.receiver_key == read && g.written.count(e.sender_key)) {
+          fed_by_written = true;
+        }
       }
       if (!fed_by_written) continue;
       if (!reported.insert(read).second) continue;
@@ -547,10 +504,10 @@ void check_flow_ranges(const vfb::Composition& model,
       // immediate receiver (both V3-silent): the dead end is further down.
       bool delivered_and_read = false;
       for (const auto& e : g.edges) {
-        if (e.from != w) continue;
+        if (e.sender_key != w) continue;
         for (const auto& other : g.runnables) {
           for (const auto& read : other.reads) {
-            if (read == e.to) delivered_and_read = true;
+            if (read == e.receiver_key) delivered_and_read = true;
           }
         }
       }
@@ -734,9 +691,7 @@ void check_resource_budgets(const vfb::Composition& model,
               "assumptions");
     }
   }
-  const double bitrate = plan.bus == vfb::BusKind::kCan
-                             ? static_cast<double>(plan.can.bitrate_bps)
-                             : static_cast<double>(plan.flexray.bitrate_bps);
+  const auto bitrate = static_cast<double>(plan.bus_bitrate());
   if (declared_bus_bps > bitrate && bitrate > 0) {
     out.add("V11", Severity::kWarning, "bus",
             "declared bus-bandwidth assumptions sum to " +

@@ -99,7 +99,7 @@ struct ChainAnalysis {
 /// One runnable's dataflow footprint: the slots it reads (data accesses plus
 /// its data-received trigger) and the slots it writes.
 struct RunnableFlow {
-  const std::string* instance = nullptr;
+  std::string instance;
   const vfb::Runnable* runnable = nullptr;
   std::vector<std::string> reads;
   std::vector<std::string> writes;
@@ -107,23 +107,16 @@ struct RunnableFlow {
   std::vector<std::pair<std::string, std::string>> write_ports;
 };
 
-/// One connector element: from the provided slot to the required slot.
-struct SlotEdge {
-  std::string from;
-  std::string to;
-  const vfb::Connector* connector = nullptr;
-};
-
-/// The slot dataflow graph (slot keys have Rte::key's shape, so subjects line
-/// up with the runtime trace). Built by V8/V12 and the detectability
-/// analysis (V13–V15) alike.
+/// The slot dataflow graph over the route table (slot keys have Rte::key's
+/// shape, so subjects line up with the runtime trace). Built by V8/V12 and
+/// the detectability analysis (V13–V15) alike.
 struct FlowGraph {
   std::vector<RunnableFlow> runnables;
-  std::vector<SlotEdge> edges;
+  std::vector<vfb::Route> edges;  ///< One per connector element.
   std::set<std::string> written;  ///< Slots some runnable writes.
-  std::set<std::string> fed;      ///< Required slots a connector feeds.
 };
-[[nodiscard]] FlowGraph build_flow_graph(const vfb::Composition& model);
+/// The graph over a route table: vfb::expand_routes(), or an elaboration.
+[[nodiscard]] FlowGraph build_flow_graph(const vfb::RouteTable& table);
 
 /// The FlowSpec a contract declares for (port, element): the "port.element"
 /// clause, else the whole-port "port" clause; null when neither exists.
@@ -132,11 +125,11 @@ struct FlowGraph {
                                                  const std::string& element,
                                                  bool assume);
 
-/// V8 + V12: build the slot dataflow graph (connectors plus runnable
-/// read->write relays), propagate guarantee intervals to a fixpoint, and
-/// report transitive range conflicts and dead flows.
+/// V8 + V12: build the slot dataflow graph of `table` (connectors plus
+/// runnable read->write relays), propagate guarantee intervals to a
+/// fixpoint, and report transitive range conflicts and dead flows.
 void check_flow_ranges(
-    const vfb::Composition& model,
+    const vfb::Composition& model, const vfb::RouteTable& table,
     const std::map<std::string, contracts::Contract, std::less<>>& contracts,
     Diagnostics& out);
 

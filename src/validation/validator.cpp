@@ -69,7 +69,10 @@ class Pass {
         plan_(plan),
         contracts_(bound),
         elab_(elab),
-        chains_(chains) {}
+        chains_(chains),
+        plan_free_(elab == nullptr ? vfb::expand_routes(model, nullptr)
+                                   : vfb::RouteTable{}),
+        table_(elab == nullptr ? plan_free_ : *elab) {}
 
   Diagnostics run() {
     check_type_references();  // V1/V2/V5 (type level)
@@ -85,7 +88,7 @@ class Pass {
       // Whole-program passes (flow_analysis.cpp): transitive ranges and
       // dead flows need only the model; deadline/budget cross-checks need
       // the deployment too.
-      check_flow_ranges(model_, contracts_, out_);             // V8/V12
+      check_flow_ranges(model_, table_, contracts_, out_);     // V8/V12
       check_monitor_coverage(model_, plan_, contracts_, out_); // V10
       if (plan_ != nullptr) {
         if (has_latency_assumptions(contracts_)) {  // V9
@@ -316,25 +319,21 @@ class Pass {
         }
       }
     }
-    for (const auto& c : model_.connectors()) {
-      const PortInterface* iface =
-          model_.find_sr_interface(c.from_instance, c.from_port);
+    for (const auto& route : table_.routes) {
+      const Connector& c = *route.connector;
+      const std::string& elem = route.element->name;
       const ComponentType* to_type = model_.find_type_of(c.to_instance);
-      if (iface == nullptr || to_type == nullptr) continue;
+      if (to_type == nullptr) continue;
       const ComponentType* from_type = model_.find_type_of(c.from_instance);
-      for (const auto& elem : iface->elements) {
-        if (!element_is_written(*from_type, c.from_port, elem.name)) {
-          out_.add("V3", Severity::kInfo,
-                   dot(c.from_instance, c.from_port, elem.name),
-                   "element is never written by any runnable of " +
-                       from_type->name + "; receivers only ever see init");
-        }
-        if (!element_is_read(*to_type, c.to_port, elem.name)) {
-          out_.add("V3", Severity::kInfo,
-                   dot(c.to_instance, c.to_port, elem.name),
-                   "element is delivered but never read by any runnable of " +
-                       to_type->name);
-        }
+      if (!element_is_written(*from_type, c.from_port, elem)) {
+        out_.add("V3", Severity::kInfo, route.sender_key,
+                 "element is never written by any runnable of " +
+                     from_type->name + "; receivers only ever see init");
+      }
+      if (!element_is_read(*to_type, c.to_port, elem)) {
+        out_.add("V3", Severity::kInfo, route.receiver_key,
+                 "element is delivered but never read by any runnable of " +
+                     to_type->name);
       }
     }
   }
@@ -501,9 +500,18 @@ class Pass {
     }
   }
 
-  // --- V1/V2/V5 (plan level): every instance deployed, partitions resolve,
-  // client-server connectors stay on one ECU, per-ECU task budget holds.
+  // --- V1/V2/V5 (plan level): the bus has a bit time, every instance
+  // deployed, partitions resolve, client-server connectors stay on one ECU,
+  // per-ECU task budget holds.
   void check_deployment() {
+    if (plan_->bus_bitrate() <= 0) {
+      const std::string bus =
+          plan_->bus == vfb::BusKind::kCan ? "can" : "flexray";
+      out_.add("V5", Severity::kError, "plan." + bus + ".bitrate_bps",
+               "bus bitrate must be positive, got " +
+                   std::to_string(plan_->bus_bitrate()) + " bps",
+               "set plan." + bus + ".bitrate_bps to the bus's bit rate");
+    }
     for (const auto& inst : model_.instances()) {
       const auto it = plan_->instances.find(inst.name);
       if (it == plan_->instances.end()) {
@@ -589,22 +597,15 @@ class Pass {
       }
     }
 
-    for (const auto& c : model_.connectors()) {
-      const auto from_dep = plan_->instances.find(c.from_instance);
-      const auto to_dep = plan_->instances.find(c.to_instance);
-      if (from_dep == plan_->instances.end() ||
-          to_dep == plan_->instances.end() ||
-          from_dep->second.ecu != to_dep->second.ecu) {
+    for (const auto& route : table_.routes) {
+      if (route.from_ecu.empty() || route.to_ecu.empty() || route.cross_ecu) {
         continue;  // cross-ECU: decoupled by the bus, no shared slot
       }
-      const PortInterface* iface =
-          model_.find_sr_interface(c.from_instance, c.from_port);
+      const Connector& c = *route.connector;
       const ComponentType* to_type = model_.find_type_of(c.to_instance);
-      if (iface == nullptr || to_type == nullptr) continue;
-      const ComponentType* from_type = model_.find_type_of(c.from_instance);
-      for (const auto& elem : iface->elements) {
-        check_element_races(c, *from_type, *to_type, elem.name);
-      }
+      if (to_type == nullptr) continue;
+      check_element_races(route, *model_.find_type_of(c.from_instance),
+                          *to_type);
     }
 
     // Lost updates inside one instance: two explicit writers of the same
@@ -640,9 +641,11 @@ class Pass {
              "into one task");
   }
 
-  void check_element_races(const Connector& c, const ComponentType& from_type,
-                           const ComponentType& to_type,
-                           const std::string& elem) {
+  void check_element_races(const vfb::Route& route,
+                           const ComponentType& from_type,
+                           const ComponentType& to_type) {
+    const Connector& c = *route.connector;
+    const std::string& elem = route.element->name;
     struct Acc {
       const Runnable* runnable;
       const Task* task;
@@ -669,7 +672,7 @@ class Pass {
         }
       }
     }
-    const std::string slot = dot(c.to_instance, c.to_port, elem);
+    const std::string& slot = route.receiver_key;
     for (const auto& w : writers) {
       for (const auto& rd : readers) {
         if (!can_preempt_pair(*w.task, *rd.task)) continue;
@@ -678,8 +681,7 @@ class Pass {
                       slot,
                   *rd.task,
                   dot(c.from_instance, w.runnable->name) +
-                      " explicit write of " +
-                      dot(c.from_instance, c.from_port, elem),
+                      " explicit write of " + route.sender_key,
                   *w.task);
       }
     }
@@ -727,28 +729,23 @@ class Pass {
       }
     }
     if (contracts_.empty()) return;
-    for (const auto& c : model_.connectors()) {
+    for (const auto& route : table_.routes) {
+      const Connector& c = *route.connector;
+      const std::string& elem = route.element->name;
       const auto from_it = contracts_.find(c.from_instance);
       const auto to_it = contracts_.find(c.to_instance);
       if (from_it == contracts_.end() || to_it == contracts_.end()) continue;
-      const PortInterface* iface =
-          model_.find_sr_interface(c.from_instance, c.from_port);
-      if (iface == nullptr) continue;
-      for (const auto& elem : iface->elements) {
-        const contracts::FlowSpec* g =
-            flow_of(from_it->second, c.from_port, elem.name, /*assume=*/false);
-        const contracts::FlowSpec* a =
-            flow_of(to_it->second, c.to_port, elem.name, /*assume=*/true);
-        if (g == nullptr || a == nullptr) continue;
-        const auto result = contracts::satisfies(*g, *a);
-        for (const auto& violation : result.violations) {
-          out_.add("V7", Severity::kError,
-                   conn_subject(c) + "." + elem.name,
-                   "contract incompatibility (" + from_it->second.name +
-                       " -> " + to_it->second.name + "): " + violation,
-                   "weaken the sink assumption or strengthen the source "
-                   "guarantee");
-        }
+      const contracts::FlowSpec* g =
+          flow_of(from_it->second, c.from_port, elem, /*assume=*/false);
+      const contracts::FlowSpec* a =
+          flow_of(to_it->second, c.to_port, elem, /*assume=*/true);
+      if (g == nullptr || a == nullptr) continue;
+      for (const auto& violation : contracts::satisfies(*g, *a).violations) {
+        out_.add("V7", Severity::kError, conn_subject(c) + "." + elem,
+                 "contract incompatibility (" + from_it->second.name +
+                     " -> " + to_it->second.name + "): " + violation,
+                 "weaken the sink assumption or strengthen the source "
+                 "guarantee");
       }
     }
   }
@@ -758,6 +755,10 @@ class Pass {
   const std::map<std::string, contracts::Contract, std::less<>>& contracts_;
   const vfb::Elaboration* elab_;
   const ChainAnalysis* chains_;
+  /// The elaboration's route table, or a plan-free expansion when there is
+  /// no plan.
+  const vfb::RouteTable plan_free_;
+  const vfb::RouteTable& table_;
   Diagnostics out_;
 };
 

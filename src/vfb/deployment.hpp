@@ -81,6 +81,11 @@ struct DeploymentPlan {
   /// escalation fired. The transition back (e.g. DEGRADED -> RUN) must be
   /// declared on the mode machine handed to escalate_to().
   std::string recovery_mode;
+
+  /// Bitrate of the bus the plan deploys on (`can` or `flexray`).
+  [[nodiscard]] std::int64_t bus_bitrate() const {
+    return bus == BusKind::kCan ? can.bitrate_bps : flexray.bitrate_bps;
+  }
 };
 
 /// Task-numbering constants shared by the generator and the validator so the

@@ -28,6 +28,10 @@ class Elaborator {
                             inst.type);
       }
     }
+    static_cast<RouteTable&>(out_) = expand_routes(model_, &plan_);
+    if (plan_.bus_bitrate() <= 0) {
+      out_.gaps.push_back("non-positive bus bitrate");
+    }
     for (const auto& ecu : out_.ecus) derive_tasks(ecu);
     derive_writers();
     derive_signals();
@@ -45,8 +49,7 @@ class Elaborator {
 
   /// Summed WCET of the synchronous server operations `r` declares; each
   /// call the generator could not inline is recorded as a gap.
-  Duration inlined_wcet(const std::string& instance, const ComponentType& type,
-                        const Runnable& r) {
+  Duration inlined_wcet(const std::string& instance, const Runnable& r) {
     const auto gap = [&](const std::string& what) {
       out_.gaps.push_back(what + " (instance " + instance + ", runnable " +
                           r.name + ")");
@@ -70,7 +73,7 @@ class Elaborator {
           gap("cross-ECU server call: " + call);
         }
       }
-      const Port* p = find_port(type, port);
+      const Port* p = find_port(*model_.find_type_of(instance), port);
       const PortInterface* iface =
           p == nullptr ? nullptr : model_.find_interface(p->interface);
       bool found = false;
@@ -87,9 +90,10 @@ class Elaborator {
     return inlined;
   }
 
-  TaskRunnable task_runnable(const std::string& instance,
-                             const ComponentType& type, const Runnable& r) {
-    TaskRunnable tr{&r, inlined_wcet(instance, type, r), r.wcet_bound};
+  TaskRunnable task_runnable(std::size_t binding) {
+    const Binding& b = out_.bindings[binding];
+    const Runnable& r = *b.runnable;
+    TaskRunnable tr{&r, binding, inlined_wcet(b.instance, r), r.wcet_bound};
     if (tr.wcet <= 0 && r.execution_time) tr.wcet = r.execution_time();
     tr.wcet += tr.inlined;
     return tr;
@@ -103,41 +107,39 @@ class Elaborator {
     };
     std::vector<Group> groups;
     std::vector<ElaboratedTask> events;
-    for (const auto& inst : model_.instances()) {
-      const InstanceDeployment* dep = deployment(inst.name);
+    for (std::size_t bi = 0; bi < out_.bindings.size(); ++bi) {
+      const Binding& b = out_.bindings[bi];
+      const InstanceDeployment* dep = deployment(b.instance);
       if (dep == nullptr || dep->ecu != ecu) continue;
-      const ComponentType* type = model_.find_type(inst.type);
-      if (type == nullptr) continue;
-      for (const auto& r : type->runnables) {
-        switch (r.trigger.kind) {
-          case RunnableTrigger::Kind::kTiming: {
-            auto git = std::find_if(groups.begin(), groups.end(),
-                                    [&](const Group& g) {
-                                      return g.instance == inst.name &&
-                                             g.period == r.trigger.period;
-                                    });
-            if (git == groups.end()) {
-              groups.push_back(Group{inst.name, r.trigger.period, {}});
-              git = groups.end() - 1;
-            }
-            git->runnables.push_back(task_runnable(inst.name, *type, r));
-            break;
+      const Runnable& r = *b.runnable;
+      switch (r.trigger.kind) {
+        case RunnableTrigger::Kind::kTiming: {
+          auto git = std::find_if(groups.begin(), groups.end(),
+                                  [&](const Group& g) {
+                                    return g.instance == b.instance &&
+                                           g.period == r.trigger.period;
+                                  });
+          if (git == groups.end()) {
+            groups.push_back(Group{b.instance, r.trigger.period, {}});
+            git = groups.end() - 1;
           }
-          case RunnableTrigger::Kind::kDataReceived: {
-            ElaboratedTask t;
-            t.name = "tk|" + inst.name + "|" + r.name;
-            t.ecu = ecu;
-            t.instance = inst.name;
-            t.priority = plan_.data_task_priority;
-            t.runnables.push_back(task_runnable(inst.name, *type, r));
-            t.wcet = t.runnables.front().wcet;
-            events.push_back(std::move(t));
-            break;
-          }
-          case RunnableTrigger::Kind::kInit:
-            out_.inits.push_back(InitRunnable{ecu, inst.name, &r});
-            break;
+          git->runnables.push_back(task_runnable(bi));
+          break;
         }
+        case RunnableTrigger::Kind::kDataReceived: {
+          ElaboratedTask t;
+          t.name = "tk|" + b.instance + "|" + r.name;
+          t.ecu = ecu;
+          t.instance = b.instance;
+          t.priority = plan_.data_task_priority;
+          t.runnables.push_back(task_runnable(bi));
+          t.wcet = t.runnables.front().wcet;
+          events.push_back(std::move(t));
+          break;
+        }
+        case RunnableTrigger::Kind::kInit:
+          out_.inits.push_back(InitRunnable{ecu, bi});
+          break;
       }
     }
 
@@ -169,6 +171,13 @@ class Elaborator {
   void add_task(ElaboratedTask t) {
     for (const auto& tr : t.runnables) {
       out_.task_of[{t.instance, tr.runnable->name}] = out_.tasks.size();
+      // A data-received runnable is activated by the routes into its trigger.
+      const std::string& trigger = out_.bindings[tr.binding].trigger_key;
+      for (auto& route : out_.routes) {
+        if (!trigger.empty() && route.receiver_key == trigger) {
+          route.activates.push_back(out_.tasks.size());
+        }
+      }
     }
     out_.tasks.push_back(std::move(t));
   }
@@ -185,10 +194,11 @@ class Elaborator {
             r.trigger.period <= 0) {
           continue;
         }
-        for (const auto& acc : r.accesses) {
-          if (!is_write(acc.kind)) continue;
-          out_.writer_task.emplace(
-              Rte::key(out_.tasks[i].instance, acc.port, acc.element), i);
+        const Binding& b = out_.bindings[tr.binding];
+        for (std::size_t a = 0; a < r.accesses.size(); ++a) {
+          if (is_write(r.accesses[a].kind)) {
+            out_.writer_task.emplace(b.keys[a], i);
+          }
         }
       }
     }
@@ -208,36 +218,31 @@ class Elaborator {
       const InstanceDeployment* from = deployment(conn.from_instance);
       const InstanceDeployment* to = deployment(conn.to_instance);
       const ComponentType* type = model_.find_type_of(conn.from_instance);
-      if (from == nullptr || to == nullptr || type == nullptr) continue;
-      const Port* port = find_port(*type, conn.from_port);
+      const Port* port =
+          type == nullptr ? nullptr : find_port(*type, conn.from_port);
       const PortInterface* iface =
           port == nullptr ? nullptr : model_.find_interface(port->interface);
-      if (iface == nullptr) continue;
-      if (iface->kind == PortInterface::Kind::kClientServer) {
-        if (from->ecu != to->ecu) {
-          out_.gaps.push_back(
-              "client-server connector spans ECUs (unsupported): " +
-              conn.from_instance + " -> " + conn.to_instance);
-        }
-        continue;
+      if (from != nullptr && to != nullptr && iface != nullptr &&
+          iface->kind == PortInterface::Kind::kClientServer &&
+          from->ecu != to->ecu) {
+        out_.gaps.push_back(
+            "client-server connector spans ECUs (unsupported): " +
+            conn.from_instance + " -> " + conn.to_instance);
       }
-      if (from->ecu == to->ecu) continue;
-      for (const auto& elem : iface->elements) {
-        const std::string sender_key =
-            Rte::key(conn.from_instance, conn.from_port, elem.name);
-        auto it = std::find_if(out_.signals.begin(), out_.signals.end(),
-                               [&](const ElaboratedSignal& s) {
-                                 return s.sender_key == sender_key;
-                               });
-        if (it == out_.signals.end()) {
-          out_.signals.push_back(ElaboratedSignal{"sg|" + sender_key,
-                                                  sender_key, from->ecu, elem,
-                                                  {}});
-          it = out_.signals.end() - 1;
-        }
-        it->receivers.emplace_back(
-            to->ecu, Rte::key(conn.to_instance, conn.to_port, elem.name));
+    }
+    std::map<std::string_view, std::size_t> signal_of;  // by sender key
+    for (std::size_t ri = 0; ri < out_.routes.size(); ++ri) {
+      const Route& route = out_.routes[ri];
+      if (!route.cross_ecu) continue;
+      const auto [it, fresh] =
+          signal_of.try_emplace(route.sender_key, out_.signals.size());
+      if (fresh) {
+        out_.signals.push_back(ElaboratedSignal{"sg|" + route.sender_key,
+                                                route.sender_key,
+                                                route.from_ecu,
+                                                route.element, {}});
       }
+      out_.signals[it->second].routes.push_back(ri);
     }
   }
 
@@ -259,12 +264,14 @@ class Elaborator {
         // pack_signals only needs a positive period for utilization math;
         // event-produced signals (kForever) use a placeholder.
         pack_in.push_back({out_.signals[si].name,
-                           out_.signals[si].element.bit_length,
+                           out_.signals[si].element->bit_length,
                            key.second == sim::kForever ? sim::seconds(1)
                                                        : key.second});
       }
-      const auto packed =
-          analysis::pack_signals(pack_in, 64, plan_.can.bitrate_bps);
+      // Its bitrate only feeds the utilization figure, which is unused here
+      // (and must not divide by a plan's non-positive CAN bitrate).
+      const auto packed = analysis::pack_signals(
+          pack_in, 64, std::max<std::int64_t>(plan_.can.bitrate_bps, 1));
       for (std::size_t fi = 0; fi < packed.frames.size(); ++fi) {
         const auto& frame = packed.frames[fi];
         ElaboratedPdu pdu;
@@ -362,12 +369,13 @@ class Elaborator {
       // flow went bad (or whose channel corrupted it), never the victim.
       for (const auto& a : contract.assumptions) {
         if (a.range.unbounded()) continue;
-        for (auto& ep : resolve_flow_endpoints(model_, instance, a.flow)) {
+        for (const Route* route :
+             routes_into(model_, out_.routes, instance, a.flow)) {
           rv::RangeSpec spec;
           spec.contract = contract.name;
-          spec.subject = std::move(ep.receiver_key);
+          spec.subject = route->receiver_key;
           spec.category = "rte.deliver";
-          spec.report_subject = std::move(ep.producer_key);
+          spec.report_subject = route->sender_key;
           spec.range = a.range;
           spec.confidence = a.confidence;
           add_monitor(instance, a.flow, std::move(spec));
@@ -441,6 +449,46 @@ std::string periodic_task_name(const std::string& instance, Duration period) {
   return "tk|" + instance + "|" + std::to_string(period);
 }
 
+RouteTable expand_routes(const Composition& model,
+                         const DeploymentPlan* plan) {
+  const auto ecu_of = [plan](const std::string& instance) -> std::string {
+    if (plan == nullptr) return {};
+    const auto it = plan->instances.find(instance);
+    return it == plan->instances.end() ? std::string() : it->second.ecu;
+  };
+  RouteTable table;
+  for (const auto& c : model.connectors()) {
+    const PortInterface* iface =
+        model.find_sr_interface(c.from_instance, c.from_port);
+    if (iface == nullptr) continue;
+    const std::string from_ecu = ecu_of(c.from_instance);
+    const std::string to_ecu = ecu_of(c.to_instance);
+    const bool cross = !from_ecu.empty() && !to_ecu.empty() &&
+                       from_ecu != to_ecu;
+    for (const auto& elem : iface->elements) {
+      table.routes.push_back(
+          Route{Rte::key(c.from_instance, c.from_port, elem.name),
+                Rte::key(c.to_instance, c.to_port, elem.name), &c, &elem,
+                from_ecu, to_ecu, cross, {}});
+    }
+  }
+  for (const auto& inst : model.instances()) {
+    const ComponentType* type = model.find_type_of(inst.name);
+    if (type == nullptr) continue;
+    for (const auto& r : type->runnables) {
+      Binding b{inst.name, &r, {}, {}};
+      for (const auto& acc : r.accesses) {
+        b.keys.push_back(Rte::key(inst.name, acc.port, acc.element));
+      }
+      if (r.trigger.kind == RunnableTrigger::Kind::kDataReceived) {
+        b.trigger_key = Rte::key(inst.name, r.trigger.port, r.trigger.element);
+      }
+      table.bindings.push_back(std::move(b));
+    }
+  }
+  return table;
+}
+
 FlowName split_flow(const std::string& flow) {
   const auto d = flow.find('.');
   if (d == std::string::npos) return {flow, {}};
@@ -490,23 +538,25 @@ std::vector<std::string> resolve_flow(const Composition& model,
   return subjects;
 }
 
-std::vector<FlowEndpoint> resolve_flow_endpoints(const Composition& model,
-                                                 const std::string& instance,
-                                                 const std::string& flow) {
+std::vector<const Route*> routes_into(const Composition& model,
+                                      const std::vector<Route>& routes,
+                                      const std::string& instance,
+                                      const std::string& flow) {
   const FlowName f = split_flow(flow);
   const Port* p = nullptr;
-  const PortInterface* iface = model.find_sr_interface(instance, f.port, &p);
-  if (iface == nullptr || p->direction != PortDirection::kRequired) return {};
-  const Connector* conn = model.connection_to(instance, f.port);
-  if (conn == nullptr) return {};
-  std::vector<FlowEndpoint> endpoints;
-  for (const auto& elem : iface->elements) {
-    if (!f.element.empty() && elem.name != f.element) continue;
-    endpoints.push_back(
-        {Rte::key(conn->from_instance, conn->from_port, elem.name),
-         Rte::key(instance, f.port, elem.name)});
+  if (model.find_sr_interface(instance, f.port, &p) == nullptr ||
+      p->direction != PortDirection::kRequired) {
+    return {};
   }
-  return endpoints;
+  const Connector* conn = model.connection_to(instance, f.port);
+  std::vector<const Route*> into;
+  for (const auto& r : routes) {
+    if (r.connector == conn &&
+        (f.element.empty() || r.element->name == f.element)) {
+      into.push_back(&r);
+    }
+  }
+  return into;
 }
 
 const Runnable* flow_sink(const Composition& model,

@@ -1,27 +1,31 @@
 // Elaboration: every decision the system generator makes, made once.
 //
 // vfb::elaborate() turns a Composition + DeploymentPlan into plain data: the
-// ECU list, every generated task (name, ECU, priority, period, inlined WCET,
-// time-triggered dispatch, runnables), the (instance, runnable) -> task map,
-// the writer task of every sender key, the cross-ECU signals packed into
-// PDUs with frame identifiers / static slots, and the rv monitor specs and
-// alive heartbeats compiled from the bound contracts. It is the one
-// configuration the AUTOSAR methodology (§2) carries "up to the generation of
-// executable code":
-//  * vfb::System instantiates it (tasks, COM, RTE routes, monitors),
-//  * the validator analyses it (V4/V5 task map, V9 tasks and writers, V10
-//    and V13–V15 flow resolution and monitor specs),
-// so no consumer re-derives a generator decision.
+// ECU list, the route table (every sender-receiver connector element and
+// every runnable's data accesses expanded into RTE keys), every generated
+// task (name, ECU, priority, period, inlined WCET, time-triggered dispatch,
+// runnables), the (instance, runnable) -> task map, the writer task of every
+// sender key, the cross-ECU signals packed into PDUs with frame identifiers /
+// static slots, and the rv monitor specs and alive heartbeats compiled from
+// the bound contracts. It is the one configuration the AUTOSAR methodology
+// (§2) carries "up to the generation of executable code":
+//  * vfb::System instantiates it (tasks, COM, RTE slots and routes,
+//    monitors),
+//  * the validator analyses it (V4/V5 task map, V9 tasks, writers and
+//    routes, V10 and V13–V15 flow resolution and monitor specs),
+// so no consumer re-derives a generator decision. The plan-free analyses
+// (V8/V12) read the same route table through expand_routes().
 //
 // elaborate() is pure and total: it never throws on an invalid model (the
 // validator runs on those). What the generator could not instantiate —
 // undeployed instances, cross-ECU client-server links, unresolvable server
-// calls, too many periodic tasks — is skipped and named in `gaps`; validation
-// rules V1–V5 report each of these first, so a non-empty `gaps` after a clean
-// validation is a validator defect.
+// calls, too many periodic tasks, a non-positive bus bitrate — is skipped
+// and named in `gaps`; validation rules V1–V5 report each of these first, so
+// a non-empty `gaps` after a clean validation is a validator defect.
 //
-// The elaboration borrows the model's Runnables by pointer: it must not
-// outlive the Composition it was elaborated from.
+// The elaboration borrows the model's Runnables, Connectors and
+// DataElements by pointer: it must not outlive the Composition it was
+// elaborated from.
 #pragma once
 
 #include <cstdint>
@@ -43,9 +47,51 @@ namespace orte::vfb {
 [[nodiscard]] std::string periodic_task_name(const std::string& instance,
                                              Duration period);
 
+/// One sender-receiver connector element: where a write to `sender_key` is
+/// delivered.
+struct Route {
+  std::string sender_key;    ///< "rte.write" subject.
+  std::string receiver_key;  ///< "rte.deliver" subject.
+  const Connector* connector = nullptr;  ///< Source and destination instance.
+  const DataElement* element = nullptr;
+  std::string from_ecu;  ///< Empty when the source end is undeployed.
+  std::string to_ecu;    ///< Empty when the destination end is undeployed.
+  bool cross_ecu = false;  ///< Both ends deployed, on different ECUs.
+  /// Event tasks (indices into Elaboration::tasks) an update of the receiver
+  /// slot activates, in task order; empty without a plan.
+  std::vector<std::size_t> activates;
+};
+
+/// One runnable of one instance with its data accesses expanded into RTE
+/// keys.
+struct Binding {
+  std::string instance;
+  const Runnable* runnable = nullptr;
+  /// Per entry of runnable->accesses: the sender key of a write, the
+  /// receiver slot key of a read.
+  std::vector<std::string> keys;
+  /// Receiver slot of a data-received trigger; empty for other triggers.
+  std::string trigger_key;
+};
+
+/// Routes in connector x element order (connectors whose source port is
+/// sender-receiver); bindings in model order, instance x runnable (instances
+/// whose type resolves).
+struct RouteTable {
+  std::vector<Route> routes;
+  std::vector<Binding> bindings;
+};
+
+/// The one expansion of connector elements and data accesses into RTE keys.
+/// With a plan, routes carry their ends' ECUs; without one (V8/V12) they are
+/// empty. `activates` is filled by elaborate().
+[[nodiscard]] RouteTable expand_routes(const Composition& model,
+                                       const DeploymentPlan* plan);
+
 /// One runnable of a generated task.
 struct TaskRunnable {
   const Runnable* runnable = nullptr;
+  std::size_t binding = 0;  ///< Index into Elaboration::bindings.
   /// Inlined WCET of its synchronous server calls (the RTE executes them in
   /// the caller's context).
   Duration inlined = 0;
@@ -72,8 +118,7 @@ struct ElaboratedTask {
 /// An init runnable: executed once at start, outside any task.
 struct InitRunnable {
   std::string ecu;
-  std::string instance;
-  const Runnable* runnable = nullptr;
+  std::size_t binding = 0;  ///< Index into Elaboration::bindings.
 };
 
 /// One cross-ECU data element carried as a COM signal.
@@ -81,9 +126,9 @@ struct ElaboratedSignal {
   std::string name;        ///< COM signal name, "sg|<sender key>".
   std::string sender_key;  ///< Rte sender key ("rte.write" subject).
   std::string sender_ecu;
-  DataElement element;     ///< Width, init value and queue semantics.
-  /// (receiver ECU, receiver Rte key) per connector end.
-  std::vector<std::pair<std::string, std::string>> receivers;
+  const DataElement* element = nullptr;  ///< Width, init, queue semantics.
+  /// The cross-ECU routes it carries (indices into Elaboration::routes).
+  std::vector<std::size_t> routes;
 };
 
 /// One I-PDU: signals of one sender ECU and producer period, packed.
@@ -118,7 +163,8 @@ struct Heartbeat {
   Duration period = 0;   ///< Largest guaranteed period of the key.
 };
 
-struct Elaboration {
+/// The route table is expand_routes() with the plan, `activates` filled.
+struct Elaboration : RouteTable {
   std::vector<std::string> ecus;  ///< Sorted; also the bus attach order.
   /// Per ECU (in `ecus` order): periodic tasks by (period, instance), then
   /// event tasks in model order.
@@ -175,16 +221,13 @@ struct FlowName {
                                                     const std::string& instance,
                                                     const std::string& flow);
 
-/// Producer/receiver key pairs of a required-port flow of `instance`: the
-/// producer's sender key (also the blame target) and this instance's slot
-/// key ("rte.deliver" subject). Empty for provided-port or unroutable flows.
-struct FlowEndpoint {
-  std::string producer_key;
-  std::string receiver_key;
-};
-[[nodiscard]] std::vector<FlowEndpoint> resolve_flow_endpoints(
-    const Composition& model, const std::string& instance,
-    const std::string& flow);
+/// The routes feeding a required-port flow of `instance` through the port's
+/// connector, in element order: the producer's sender key (also the blame
+/// target) and this instance's receiver slot key ("rte.deliver" subject) of
+/// each. Empty for provided-port or unconnected flows.
+[[nodiscard]] std::vector<const Route*> routes_into(
+    const Composition& model, const std::vector<Route>& routes,
+    const std::string& instance, const std::string& flow);
 
 /// The data-received runnable a contract flow of `instance` activates (the
 /// last declared match), or null: the tail of a latency chain.

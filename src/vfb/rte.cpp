@@ -5,15 +5,9 @@
 namespace orte::vfb {
 
 namespace {
-std::string runnable_key(const std::string& instance,
-                         const Runnable& runnable) {
-  return instance + "/" + runnable.name;
-}
-/// Element name carried by a receiver key ("instance.port.element").
-std::string element_of_key(const std::string& receiver_key) {
-  const auto pos = receiver_key.rfind('.');
-  return pos == std::string::npos ? receiver_key
-                                  : receiver_key.substr(pos + 1);
+/// The instance a sender key belongs to (its first segment).
+std::string_view instance_of(std::string_view key) {
+  return key.substr(0, key.find('.'));
 }
 }  // namespace
 
@@ -21,18 +15,18 @@ std::string element_of_key(const std::string& receiver_key) {
 
 std::uint64_t RunnableContext::read(std::string_view port,
                                     std::string_view element) {
-  return rte_->context_read(*instance_, *runnable_, port, element);
+  return rte_->context_read(binding_, port, element);
 }
 
 void RunnableContext::write(std::string_view port, std::string_view element,
                             std::uint64_t value) {
-  rte_->context_write(*instance_, *runnable_, port, element, value);
+  rte_->context_write(binding_, port, element, value);
 }
 
 std::uint64_t RunnableContext::call(std::string_view port,
                                     std::string_view operation,
                                     std::uint64_t argument) {
-  return rte_->context_call(*instance_, port, operation, argument);
+  return rte_->context_call(instance(), port, operation, argument);
 }
 
 sim::Time RunnableContext::now() const { return rte_->kernel_.now(); }
@@ -56,52 +50,66 @@ std::string Rte::key(std::string_view instance, std::string_view port,
   return k;
 }
 
-void Rte::add_local_route(const std::string& sender_key,
-                          const std::string& receiver_key, bool queued,
-                          std::uint64_t init, std::size_t queue_length,
-                          QueueOverflow overflow) {
-  local_routes_[sender_key].push_back(receiver_key);
-  Slot& slot = slots_[receiver_key];
-  slot.element = element_of_key(receiver_key);
-  slot.queued = queued;
-  slot.value = init;
-  slot.queue_limit = queue_length;
-  slot.overflow = overflow;
+Rte::SlotId Rte::add_slot(std::string key, const DataElement& element) {
+  slots_.push_back(Slot{std::move(key), &element, element.init, {}, {}});
+  return static_cast<SlotId>(slots_.size() - 1);
 }
 
-void Rte::add_remote_route(const std::string& sender_key, bsw::Com& com,
-                           std::string signal) {
-  remote_routes_[sender_key].push_back(RemoteRoute{&com, std::move(signal)});
+Rte::SenderId Rte::add_sender(std::string key) {
+  const bool quarantined = is_quarantined(instance_of(key));
+  senders_.push_back(Sender{std::move(key), quarantined, {}, nullptr, {}});
+  return static_cast<SenderId>(senders_.size() - 1);
 }
 
-void Rte::add_remote_receiver(const std::string& receiver_key, bool queued,
-                              std::uint64_t init, std::size_t queue_length,
-                              QueueOverflow overflow) {
-  Slot& slot = slots_[receiver_key];
-  slot.element = element_of_key(receiver_key);
-  slot.queued = queued;
-  slot.value = init;
-  slot.queue_limit = queue_length;
-  slot.overflow = overflow;
+void Rte::add_route(SenderId sender, SlotId slot) {
+  senders_[sender].local.push_back(slot);
 }
 
-void Rte::deliver(const std::string& receiver_key, std::uint64_t value) {
-  auto it = slots_.find(receiver_key);
-  if (it == slots_.end()) {
-    throw std::logic_error("Rte::deliver to unknown slot " + receiver_key);
+void Rte::add_route(SenderId sender, bsw::Com& com, std::string signal) {
+  senders_[sender].com = &com;
+  senders_[sender].signal = std::move(signal);
+}
+
+void Rte::on_update(SlotId slot, std::function<void()> cb) {
+  slots_[slot].on_update.push_back(std::move(cb));
+}
+
+Rte::BindingId Rte::bind(std::string instance, const Runnable& runnable,
+                         std::vector<std::uint32_t> ids) {
+  const auto& accesses = runnable.accesses;
+  if (ids.size() != accesses.size()) {
+    throw std::invalid_argument("Rte::bind: one ID per declared access");
   }
-  Slot& slot = it->second;
-  if (slot.queued) {
+  Binding b;
+  b.instance = std::move(instance);
+  b.runnable = &runnable;
+  for (std::size_t i = 0; i < accesses.size(); ++i) {
+    b.first.push_back(static_cast<std::uint32_t>(
+        access_of(b, accesses[i].port, accesses[i].element, "")));
+    // Reads before the first capture see the slot's init.
+    b.snapshot.push_back(is_write(accesses[i].kind) ? 0 : slots_[ids[i]].value);
+  }
+  b.ids = std::move(ids);
+  b.outbox.resize(accesses.size());
+  bindings_.push_back(std::move(b));
+  return static_cast<BindingId>(bindings_.size() - 1);
+}
+
+void Rte::deliver(SlotId id, std::uint64_t value) {
+  Slot& slot = slots_[id];
+  const DataElement& element = *slot.element;
+  if (element.queued) {
     // Bounded AUTOSAR-style queue; slot.value keeps the init (queued slots
     // are read through the queue, never last-is-best).
-    if (slot.queue_limit > 0 && slot.queue.size() >= slot.queue_limit) {
+    if (element.queue_length > 0 &&
+        slot.queue.size() >= element.queue_length) {
       ++overflows_;
       // Detail carries the element name so the record correlates with
       // element-level diagnostics (validator rules V3/V4) without parsing
       // the receiver key.
-      trace_.emit(kernel_.now(), "rte.queue_overflow", receiver_key,
-                  static_cast<std::int64_t>(value), slot.element);
-      if (slot.overflow == QueueOverflow::kReject) {
+      trace_.emit(kernel_.now(), "rte.queue_overflow", slot.key,
+                  static_cast<std::int64_t>(value), element.name);
+      if (element.overflow == QueueOverflow::kReject) {
         return;  // value lost; no data-received activation
       }
       slot.queue.pop_front();  // kDropOldest: displace the head
@@ -110,127 +118,84 @@ void Rte::deliver(const std::string& receiver_key, std::uint64_t value) {
   } else {
     slot.value = value;
   }
-  slot.last_update = kernel_.now();
   // Receiver-side observation point: the value as it ARRIVED, after any bus
   // transport (and any injected corruption en route). Sender-side monitors
   // watch "rte.write"; assumption-side range monitors watch this record, so
   // in-transit damage is observable even when the producer wrote in-spec.
-  trace_.emit(kernel_.now(), "rte.deliver", receiver_key,
-              static_cast<std::int64_t>(value), slot.element);
-  auto hooks = update_hooks_.find(receiver_key);
-  if (hooks != update_hooks_.end()) {
-    for (const auto& cb : hooks->second) cb();
-  }
+  trace_.emit(kernel_.now(), "rte.deliver", slot.key,
+              static_cast<std::int64_t>(value), element.name);
+  for (const auto& cb : slot.on_update) cb();
 }
 
-void Rte::on_update(const std::string& receiver_key,
-                    std::function<void()> cb) {
-  update_hooks_[receiver_key].push_back(std::move(cb));
-}
-
-void Rte::capture_implicit(const std::string& instance,
-                           const Runnable& runnable) {
-  auto& snapshot = implicit_in_[runnable_key(instance, runnable)];
-  snapshot.clear();
-  for (const auto& acc : runnable.accesses) {
-    if (acc.kind != DataAccessKind::kImplicitRead) continue;
-    const Connector* conn = composition_.connection_to(instance, acc.port);
-    const std::string k = key(instance, acc.port, acc.element);
-    auto it = slots_.find(k);
-    std::uint64_t value;
-    if (it != slots_.end()) {
-      value = it->second.value;
-    } else {
-      value = composition_.element_of(instance, acc.port, acc.element).init;
+void Rte::capture_implicit(BindingId id) {
+  Binding& b = bindings_[id];
+  const auto& accesses = b.runnable->accesses;
+  for (std::size_t i = 0; i < accesses.size(); ++i) {
+    if (accesses[i].kind == DataAccessKind::kImplicitRead) {
+      b.snapshot[i] = slots_[b.ids[i]].value;
     }
-    (void)conn;
-    snapshot[k] = value;
   }
-  implicit_out_[runnable_key(instance, runnable)].clear();
+  b.outbox.assign(b.outbox.size(), std::nullopt);
 }
 
-void Rte::run_behavior(const std::string& instance, const Runnable& runnable) {
-  trace_.emit(kernel_.now(), "rte.runnable", instance, 0, runnable.name);
+void Rte::run_behavior(BindingId id) {
+  Binding& b = bindings_[id];
+  const Runnable& runnable = *b.runnable;
+  trace_.emit(kernel_.now(), "rte.runnable", b.instance, 0, runnable.name);
   if (runnable.behavior) {
-    RunnableContext ctx(*this, instance, runnable);
+    RunnableContext ctx(*this, id, b.instance);
     runnable.behavior(ctx);
   }
   // Publish implicit writes in declaration order.
-  const std::string rk = runnable_key(instance, runnable);
-  auto& outbox = implicit_out_[rk];
-  for (const auto& acc : runnable.accesses) {
-    if (acc.kind != DataAccessKind::kImplicitWrite) continue;
-    const std::string k = key(instance, acc.port, acc.element);
-    auto it = outbox.find(k);
-    if (it != outbox.end()) publish(k, it->second);
+  for (std::size_t i = 0; i < runnable.accesses.size(); ++i) {
+    if (runnable.accesses[i].kind != DataAccessKind::kImplicitWrite) continue;
+    if (const auto& value = b.outbox[b.first[i]]) publish(b.ids[i], *value);
   }
-  outbox.clear();
+  b.outbox.assign(b.outbox.size(), std::nullopt);
 }
 
-const DataAccess* Rte::find_access(const Runnable& runnable,
-                                   std::string_view port,
-                                   std::string_view element) const {
-  for (const auto& acc : runnable.accesses) {
-    if (acc.port == port && acc.element == element) return &acc;
+std::size_t Rte::access_of(const Binding& b, std::string_view port,
+                           std::string_view element, const char* what) const {
+  const auto& accesses = b.runnable->accesses;
+  for (std::size_t i = 0; i < accesses.size(); ++i) {
+    if (accesses[i].port == port && accesses[i].element == element) return i;
   }
-  return nullptr;
+  throw std::logic_error(std::string("undeclared ") + what + " access: " +
+                         b.runnable->name + " " + std::string(port) + "." +
+                         std::string(element));
 }
 
-std::uint64_t Rte::context_read(const std::string& instance,
-                                const Runnable& runnable,
-                                std::string_view port,
+std::uint64_t Rte::context_read(std::uint32_t binding, std::string_view port,
                                 std::string_view element) {
-  ++reads_;
-  const DataAccess* acc = find_access(runnable, port, element);
-  if (acc == nullptr) {
-    throw std::logic_error("undeclared read access: " + runnable.name + " " +
-                           std::string(port) + "." + std::string(element));
+  const Binding& b = bindings_[binding];
+  const std::size_t i = access_of(b, port, element, "read");
+  if (b.runnable->accesses[i].kind == DataAccessKind::kImplicitRead) {
+    return b.snapshot[i];
   }
-  const std::string k = key(instance, port, element);
-  if (acc->kind == DataAccessKind::kImplicitRead) {
-    const auto& snapshot = implicit_in_[runnable_key(instance, runnable)];
-    auto it = snapshot.find(k);
-    if (it != snapshot.end()) return it->second;
-    return composition_.element_of(instance, port, element).init;
-  }
-  auto it = slots_.find(k);
-  if (it == slots_.end()) {
-    return composition_.element_of(instance, port, element).init;
-  }
-  Slot& slot = it->second;
-  if (slot.queued) {
-    if (slot.queue.empty()) {
-      return composition_.element_of(instance, port, element).init;
-    }
-    const std::uint64_t v = slot.queue.front();
-    slot.queue.pop_front();
-    return v;
-  }
-  return slot.value;
+  Slot& slot = slots_[b.ids[i]];
+  if (!slot.element->queued) return slot.value;
+  if (slot.queue.empty()) return slot.element->init;
+  const std::uint64_t v = slot.queue.front();
+  slot.queue.pop_front();
+  return v;
 }
 
-void Rte::context_write(const std::string& instance, const Runnable& runnable,
-                        std::string_view port, std::string_view element,
-                        std::uint64_t value) {
+void Rte::context_write(std::uint32_t binding, std::string_view port,
+                        std::string_view element, std::uint64_t value) {
   ++writes_;
-  const DataAccess* acc = find_access(runnable, port, element);
-  if (acc == nullptr) {
-    throw std::logic_error("undeclared write access: " + runnable.name + " " +
-                           std::string(port) + "." + std::string(element));
-  }
-  const std::string k = key(instance, port, element);
-  if (acc->kind == DataAccessKind::kImplicitWrite) {
-    implicit_out_[runnable_key(instance, runnable)][k] = value;
+  Binding& b = bindings_[binding];
+  const std::size_t i = access_of(b, port, element, "write");
+  if (b.runnable->accesses[i].kind == DataAccessKind::kImplicitWrite) {
+    b.outbox[i] = value;
     return;
   }
-  publish(k, value);
+  publish(b.ids[i], value);
 }
 
 std::uint64_t Rte::context_call(const std::string& instance,
                                 std::string_view port,
                                 std::string_view operation,
                                 std::uint64_t argument) {
-  ++calls_;
   const Connector* conn = composition_.connection_to(instance, port);
   if (conn == nullptr) {
     throw std::logic_error("client-server port not connected: " +
@@ -243,64 +208,41 @@ std::uint64_t Rte::context_call(const std::string& instance,
     throw std::logic_error("no handler for operation " +
                            std::string(operation) + " on " + server_type);
   }
-  trace_.emit(kernel_.now(), "rte.call", instance, 0, std::string(operation));
+  trace_.emit(kernel_.now(), "rte.call", instance, 0, operation);
   return (*handler)(argument);
 }
 
 void Rte::quarantine(const std::string& instance) {
   quarantined_.insert(instance);
+  for (auto& s : senders_) s.quarantined |= instance_of(s.key) == instance;
 }
 
 void Rte::release(const std::string& instance) {
   quarantined_.erase(instance);
+  for (auto& s : senders_) s.quarantined &= instance_of(s.key) != instance;
 }
 
 bool Rte::is_quarantined(std::string_view instance) const {
   return quarantined_.find(instance) != quarantined_.end();
 }
 
-void Rte::publish(const std::string& sender_key, std::uint64_t value) {
-  if (write_interceptor_ && !write_interceptor_(sender_key, value)) {
-    ++intercepted_drops_;
-    trace_.emit(kernel_.now(), "rte.fault_drop", sender_key,
+void Rte::publish(SenderId id, std::uint64_t value) {
+  const Sender& sender = senders_[id];
+  if (write_interceptor_ && !write_interceptor_(sender.key, value)) {
+    trace_.emit(kernel_.now(), "rte.fault_drop", sender.key,
                 static_cast<std::int64_t>(value));
     return;
   }
-  if (!quarantined_.empty()) {
-    const std::string_view instance =
-        std::string_view(sender_key).substr(0, sender_key.find('.'));
-    if (is_quarantined(instance)) {
-      ++quarantined_drops_;
-      trace_.emit(kernel_.now(), "rte.quarantine_drop", sender_key,
-                  static_cast<std::int64_t>(value));
-      return;
-    }
+  if (sender.quarantined) {
+    ++quarantined_drops_;
+    trace_.emit(kernel_.now(), "rte.quarantine_drop", sender.key,
+                static_cast<std::int64_t>(value));
+    return;
   }
-  trace_.emit(kernel_.now(), "rte.write", sender_key,
+  trace_.emit(kernel_.now(), "rte.write", sender.key,
               static_cast<std::int64_t>(value));
-  auto lit = local_routes_.find(sender_key);
-  if (lit != local_routes_.end()) {
-    for (const auto& receiver : lit->second) deliver(receiver, value);
-  }
-  auto rit = remote_routes_.find(sender_key);
-  if (rit != remote_routes_.end()) {
-    for (const auto& route : rit->second) {
-      route.com->send_signal(route.signal, value);
-    }
-  }
-}
-
-std::uint64_t Rte::peek(const std::string& receiver_key) const {
-  auto it = slots_.find(receiver_key);
-  if (it == slots_.end()) {
-    throw std::invalid_argument("Rte::peek: unknown slot " + receiver_key);
-  }
-  const Slot& slot = it->second;
-  if (slot.queued) {
-    // Next value a reader would pop; the init value when the queue is empty.
-    return slot.queue.empty() ? slot.value : slot.queue.front();
-  }
-  return slot.value;
+  for (const SlotId slot : sender.local) deliver(slot, value);
+  if (sender.com != nullptr) sender.com->send_signal(sender.signal, value);
 }
 
 }  // namespace orte::vfb

@@ -3,8 +3,11 @@
 //
 // The RTE routes every port write to its connected receivers: same-ECU
 // connections become in-memory copies (plus data-received activations),
-// cross-ECU connections become COM signal transmissions. It also implements
-// the two AUTOSAR access semantics:
+// cross-ECU connections become COM signal transmissions. Like a generated
+// AUTOSAR RTE it is static: System binds every slot, sender and runnable
+// access to a dense ID at build time, so reads, writes and deliveries index
+// vectors instead of looking names up. It also implements the two AUTOSAR
+// access semantics:
 //  * implicit — a runnable sees a stable snapshot taken when it starts and
 //    publishes its outputs only when it completes,
 //  * explicit — reads/writes touch the live values immediately.
@@ -13,7 +16,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -46,70 +49,71 @@ class RunnableContext {
 
  private:
   friend class Rte;
-  RunnableContext(Rte& rte, const std::string& instance,
-                  const Runnable& runnable)
-      : rte_(&rte), instance_(&instance), runnable_(&runnable) {}
+  RunnableContext(Rte& rte, std::uint32_t binding, const std::string& instance)
+      : rte_(&rte), binding_(binding), instance_(&instance) {}
 
   Rte* rte_;
+  std::uint32_t binding_;
   const std::string* instance_;
-  const Runnable* runnable_;
 };
 
 class Rte {
  public:
-  /// Default bound of a queued receiver slot (AUTOSAR queue length).
-  static constexpr std::size_t kDefaultQueueLength = 16;
+  /// Dense IDs the System generator binds at build time; every runtime
+  /// access indexes a vector with them.
+  using SlotId = std::uint32_t;     ///< A receiver slot.
+  using SenderId = std::uint32_t;   ///< A sender key ("rte.write" subject).
+  using BindingId = std::uint32_t;  ///< One (instance, runnable) pair.
 
   Rte(sim::Kernel& kernel, sim::Trace& trace, const Composition& composition,
       std::string ecu_name);
   Rte(const Rte&) = delete;
   Rte& operator=(const Rte&) = delete;
 
+  /// The RTE key of (instance, port, element): "instance.port.element".
   static std::string key(std::string_view instance, std::string_view port,
                          std::string_view element);
 
   // --- Wiring (called by the System generator) ------------------------------
-  /// Same-ECU connection: writes to `sender` propagate to `receiver`.
-  /// For queued receivers, `queue_length` bounds the slot queue (0 =
-  /// unbounded) and `overflow` picks the full-queue semantics.
-  void add_local_route(const std::string& sender_key,
-                       const std::string& receiver_key, bool queued,
-                       std::uint64_t init,
-                       std::size_t queue_length = kDefaultQueueLength,
-                       QueueOverflow overflow = QueueOverflow::kReject);
-  /// Cross-ECU connection: writes to `sender` go out as a COM signal.
-  void add_remote_route(const std::string& sender_key, bsw::Com& com,
-                        std::string signal);
-  /// Declare a receiver slot fed from the network (COM rx side).
-  void add_remote_receiver(const std::string& receiver_key, bool queued,
-                           std::uint64_t init,
-                           std::size_t queue_length = kDefaultQueueLength,
-                           QueueOverflow overflow = QueueOverflow::kReject);
-  /// Network delivery entry point (wired to Com::on_signal).
-  void deliver(const std::string& receiver_key, std::uint64_t value);
-  /// Run `cb` whenever `receiver_key` is updated (data-received activation).
-  void on_update(const std::string& receiver_key, std::function<void()> cb);
+  /// A receiver slot under `key` ("rte.deliver" subject) holding
+  /// `element.init` until the first delivery. Queued elements keep a queue
+  /// bounded by element.queue_length (0 = unbounded) with element.overflow
+  /// full-queue semantics. `element`, like a bound runnable, is borrowed
+  /// and must outlive the Rte.
+  SlotId add_slot(std::string key, const DataElement& element);
+  /// A sender key; its instance is the key's first segment (quarantine).
+  SenderId add_sender(std::string key);
+  /// Same-ECU route: writes to `sender` are delivered to `slot`, after the
+  /// slots routed before it.
+  void add_route(SenderId sender, SlotId slot);
+  /// Cross-ECU route: writes to `sender` go out as COM signal `signal`,
+  /// after every same-ECU delivery.
+  void add_route(SenderId sender, bsw::Com& com, std::string signal);
+  /// Run `cb` whenever `slot` is updated (data-received activation).
+  void on_update(SlotId slot, std::function<void()> cb);
+  /// Bind `runnable` of `instance`: `ids[i]` is the sender (write) or slot
+  /// (read) of runnable.accesses[i].
+  BindingId bind(std::string instance, const Runnable& runnable,
+                 std::vector<std::uint32_t> ids);
+  /// Delivery into a slot (local routes and the COM rx side).
+  void deliver(SlotId slot, std::uint64_t value);
 
   // --- Execution (called from generated task segments) ----------------------
   /// Snapshot all implicit-read accesses of the runnable (segment start).
-  void capture_implicit(const std::string& instance, const Runnable& runnable);
+  void capture_implicit(BindingId binding);
   /// Execute the behavior and publish implicit writes (segment end).
-  void run_behavior(const std::string& instance, const Runnable& runnable);
+  void run_behavior(BindingId binding);
 
   // --- Fault injection (fi layer) --------------------------------------------
   /// Interceptor over every outbound port write, consulted at the publish
   /// choke point BEFORE quarantine filtering and routing. It may rewrite the
   /// value in place (corruption, stuck-at) or return false to swallow the
-  /// write entirely (fail-silent crash) — swallowed writes are counted and
-  /// traced as "rte.fault_drop". One interceptor per RTE; pass {} to clear.
+  /// write entirely (fail-silent crash) — swallowed writes are traced as
+  /// "rte.fault_drop". One interceptor per RTE; pass {} to clear.
   using WriteInterceptor =
       std::function<bool(std::string_view sender_key, std::uint64_t& value)>;
   void intercept_writes(WriteInterceptor hook) {
     write_interceptor_ = std::move(hook);
-  }
-  /// Writes swallowed by the interceptor since construction.
-  [[nodiscard]] std::uint64_t intercepted_drops() const {
-    return intercepted_drops_;
   }
 
   // --- Health management (graceful degradation, §1/§4) -----------------------
@@ -129,67 +133,65 @@ class Rte {
 
   // --- Introspection ---------------------------------------------------------
   [[nodiscard]] std::uint64_t writes() const { return writes_; }
-  [[nodiscard]] std::uint64_t reads() const { return reads_; }
-  [[nodiscard]] std::uint64_t calls() const { return calls_; }
   /// Values lost to full receiver queues (rejected or displaced).
   [[nodiscard]] std::uint64_t overflows() const { return overflows_; }
   [[nodiscard]] const std::string& ecu_name() const { return ecu_name_; }
-  /// Live value of a receiver slot (testing/diagnosis).
-  [[nodiscard]] std::uint64_t peek(const std::string& receiver_key) const;
 
  private:
   friend class RunnableContext;
 
   struct Slot {
+    std::string key;
+    /// Init, queue semantics and the trace detail (the element's name).
+    const DataElement* element = nullptr;
     std::uint64_t value = 0;  ///< Last-is-best slots only; init for queued.
-    /// Data-element name (last key segment), kept so runtime trace records
-    /// name the element a diagnosis (V3/V4 rules) talks about directly.
-    std::string element;
-    bool queued = false;
     std::deque<std::uint64_t> queue;
-    std::size_t queue_limit = kDefaultQueueLength;  ///< 0 = unbounded.
-    QueueOverflow overflow = QueueOverflow::kReject;
-    sim::Time last_update = -1;
+    std::vector<std::function<void()>> on_update;
+  };
+  struct Sender {
+    std::string key;
+    bool quarantined = false;
+    std::vector<SlotId> local;  ///< Same-ECU receivers, in route order.
+    bsw::Com* com = nullptr;    ///< Cross-ECU signal, if any.
+    std::string signal;
+  };
+  struct Binding {
+    std::string instance;
+    const Runnable* runnable = nullptr;
+    /// Per declared access: its slot or sender, and the first access naming
+    /// the same (port, element) — the one a read or write resolves to.
+    std::vector<std::uint32_t> ids;
+    std::vector<std::uint32_t> first;
+    std::vector<std::uint64_t> snapshot;  ///< Implicit reads, per access.
+    std::vector<std::optional<std::uint64_t>> outbox;  ///< Implicit writes.
   };
 
-  std::uint64_t context_read(const std::string& instance,
-                             const Runnable& runnable, std::string_view port,
+  /// Index of the first declared access of (port, element); throws for an
+  /// undeclared one.
+  std::size_t access_of(const Binding& b, std::string_view port,
+                        std::string_view element, const char* what) const;
+  std::uint64_t context_read(std::uint32_t binding, std::string_view port,
                              std::string_view element);
-  void context_write(const std::string& instance, const Runnable& runnable,
-                     std::string_view port, std::string_view element,
-                     std::uint64_t value);
+  void context_write(std::uint32_t binding, std::string_view port,
+                     std::string_view element, std::uint64_t value);
   std::uint64_t context_call(const std::string& instance,
                              std::string_view port, std::string_view operation,
                              std::uint64_t argument);
-  void publish(const std::string& sender_key, std::uint64_t value);
-  const DataAccess* find_access(const Runnable& runnable,
-                                std::string_view port,
-                                std::string_view element) const;
+  void publish(SenderId sender, std::uint64_t value);
 
   sim::Kernel& kernel_;
   sim::Trace& trace_;
   const Composition& composition_;
   std::string ecu_name_;
 
-  std::map<std::string, Slot> slots_;  ///< Receiver-side caches.
-  std::map<std::string, std::vector<std::string>> local_routes_;
-  struct RemoteRoute {
-    bsw::Com* com = nullptr;
-    std::string signal;
-  };
-  std::map<std::string, std::vector<RemoteRoute>> remote_routes_;
-  std::map<std::string, std::vector<std::function<void()>>> update_hooks_;
-  /// Implicit snapshot/outbox per "instance/runnable".
-  std::map<std::string, std::map<std::string, std::uint64_t>> implicit_in_;
-  std::map<std::string, std::map<std::string, std::uint64_t>> implicit_out_;
+  std::vector<Slot> slots_;
+  std::vector<Sender> senders_;
+  std::vector<Binding> bindings_;
 
   std::set<std::string, std::less<>> quarantined_;
   WriteInterceptor write_interceptor_;
-  std::uint64_t intercepted_drops_ = 0;
 
   std::uint64_t writes_ = 0;
-  std::uint64_t reads_ = 0;
-  std::uint64_t calls_ = 0;
   std::uint64_t overflows_ = 0;
   std::uint64_t quarantined_drops_ = 0;
 };

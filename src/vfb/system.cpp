@@ -1,8 +1,8 @@
 #include "vfb/system.hpp"
 
 #include <algorithm>
+#include <set>
 #include <stdexcept>
-#include <tuple>
 #include <type_traits>
 #include <variant>
 
@@ -83,25 +83,9 @@ void System::build() {
                        : static_cast<net::Controller*>(&flexray_->attach());
     ecus_.emplace(name, std::move(c));
   }
-  build_com();
-
-  // ---- Local routes ----------------------------------------------------------
-  for (const auto& conn : model_.connectors()) {
-    const Port& from = model_.port_of(conn.from_instance, conn.from_port);
-    const PortInterface& iface = model_.interface(from.interface);
-    if (iface.kind != PortInterface::Kind::kSenderReceiver) continue;
-    const std::string& sender_ecu = deployment(conn.from_instance).ecu;
-    if (sender_ecu != deployment(conn.to_instance).ecu) continue;
-    EcuCtx& c = ctx(sender_ecu);
-    for (const auto& elem : iface.elements) {
-      c.rte->add_local_route(
-          Rte::key(conn.from_instance, conn.from_port, elem.name),
-          Rte::key(conn.to_instance, conn.to_port, elem.name), elem.queued,
-          elem.init, elem.queue_length, elem.overflow);
-    }
-  }
-
-  build_tasks();
+  const RteIds ids = build_rte();
+  build_com(ids);
+  build_tasks(ids);
   if (plan_.runtime_verification) build_monitors();
   if (plan_.alive_supervision) build_alive_supervision();
 
@@ -118,68 +102,107 @@ void System::build() {
   for (const auto& t : elab_.tasks) trace_.intern_subject(t.name);
 }
 
-void System::build_com() {
+System::RteIds System::build_rte() {
+  // Build-time only: RTE keys resolved to the IDs their ECU's Rte hands out.
+  // A key names one instance, so it lives on exactly one ECU.
+  std::map<std::string, Rte::SlotId, std::less<>> slot_ids;
+  std::map<std::string, Rte::SenderId, std::less<>> sender_ids;
+  const auto slot = [&](const std::string& ecu, const std::string& key,
+                        const DataElement& element) {
+    const auto [it, fresh] = slot_ids.try_emplace(key);
+    if (fresh) it->second = ctx(ecu).rte->add_slot(key, element);
+    return it->second;
+  };
+  const auto sender = [&](const std::string& ecu, const std::string& key) {
+    const auto [it, fresh] = sender_ids.try_emplace(key);
+    if (fresh) it->second = ctx(ecu).rte->add_sender(key);
+    return it->second;
+  };
+
+  // Routes, in connector order; build_com wires the cross-ECU ones.
+  RteIds ids;
+  for (const Route& r : elab_.routes) {
+    ids.route_senders.push_back(sender(r.from_ecu, r.sender_key));
+    ids.route_slots.push_back(slot(r.to_ecu, r.receiver_key, *r.element));
+    if (!r.cross_ecu) {
+      ctx(r.from_ecu).rte->add_route(ids.route_senders.back(),
+                                     ids.route_slots.back());
+    }
+  }
+
+  // Bindings: every access and data-received trigger of every generated
+  // runnable; a slot no route feeds holds its element's init.
+  ids.bindings.resize(elab_.bindings.size());
+  ids.triggers.resize(elab_.bindings.size());
+  const auto bind = [&](const std::string& ecu, std::size_t bi) {
+    const Binding& b = elab_.bindings[bi];
+    if (!b.trigger_key.empty()) {
+      const RunnableTrigger& on = b.runnable->trigger;
+      ids.triggers[bi] =
+          slot(ecu, b.trigger_key,
+               model_.element_of(b.instance, on.port, on.element));
+    }
+    std::vector<std::uint32_t> access_ids;
+    for (std::size_t a = 0; a < b.keys.size(); ++a) {
+      const DataAccess& acc = b.runnable->accesses[a];
+      access_ids.push_back(
+          is_write(acc.kind)
+              ? sender(ecu, b.keys[a])
+              : slot(ecu, b.keys[a],
+                     model_.element_of(b.instance, acc.port, acc.element)));
+    }
+    ids.bindings[bi] =
+        ctx(ecu).rte->bind(b.instance, *b.runnable, std::move(access_ids));
+  };
+  for (const auto& t : elab_.tasks) {
+    for (const auto& tr : t.runnables) bind(t.ecu, tr.binding);
+  }
+  for (const auto& init : elab_.inits) bind(init.ecu, init.binding);
+  return ids;
+}
+
+void System::build_com(const RteIds& ids) {
   for (const auto& pspec : elab_.pdus) {
-    EcuCtx& sender = ctx(pspec.sender_ecu);
+    EcuCtx& tx = ctx(pspec.sender_ecu);
     bsw::IPduConfig pdu_cfg;
     pdu_cfg.name = pspec.name;
     pdu_cfg.frame_id = pspec.frame_id;
     pdu_cfg.length_bytes = pspec.length_bytes;
     pdu_cfg.mode = bsw::TxMode::kDirect;
-    sender.com->add_tx_ipdu(pdu_cfg, *sender.controller);
+    tx.com->add_tx_ipdu(pdu_cfg, *tx.controller);
     if (plan_.bus == BusKind::kFlexRay) {
       flexray_->assign_static_slot(
           pspec.frame_id,
-          static_cast<flexray::FlexRayController&>(*sender.controller));
+          static_cast<flexray::FlexRayController&>(*tx.controller));
     }
 
-    // Receiving ECUs of this PDU and which of its signals each consumes.
-    std::map<std::string,
-             std::vector<std::tuple<const ElaboratedSignal*, std::size_t,
-                                    std::vector<std::string>>>>
-        rx_by_ecu;
-
+    std::set<std::string> rx_ecus;  // ECUs that declared this PDU's rx side
     for (const auto& [index, offset] : pspec.signals) {
-      const ElaboratedSignal& sspec = elab_.signals[index];
+      const ElaboratedSignal& s = elab_.signals[index];
       bsw::SignalConfig sig;
-      sig.name = sspec.name;
+      sig.name = s.name;
       sig.ipdu = pspec.name;
       sig.bit_offset = offset;
-      sig.bit_length = sspec.element.bit_length;
+      sig.bit_length = s.element->bit_length;
       sig.triggered = true;  // a write transmits the whole packed PDU
-      sender.com->add_signal(sig);
-      sender.rte->add_remote_route(sspec.sender_key, *sender.com, sspec.name);
-      std::map<std::string, std::vector<std::string>> keys_by_ecu;
-      for (const auto& [ecu_name, receiver_key] : sspec.receivers) {
-        keys_by_ecu[ecu_name].push_back(receiver_key);
-      }
-      for (auto& [ecu_name, keys] : keys_by_ecu) {
-        rx_by_ecu[ecu_name].emplace_back(&sspec, offset, std::move(keys));
-      }
-    }
-
-    for (const auto& [ecu_name, consumed] : rx_by_ecu) {
-      EcuCtx& receiver = ctx(ecu_name);
-      receiver.com->add_rx_ipdu(pdu_cfg, *receiver.controller);
-      for (const auto& [sspec, offset, keys] : consumed) {
-        bsw::SignalConfig sig;
-        sig.name = sspec->name;
-        sig.ipdu = pspec.name;
-        sig.bit_offset = offset;
-        sig.bit_length = sspec->element.bit_length;
-        receiver.com->add_signal(sig);
-        const DataElement& elem = sspec->element;
-        for (const auto& key : keys) {
-          receiver.rte->add_remote_receiver(key, elem.queued, elem.init,
-                                            elem.queue_length, elem.overflow);
+      tx.com->add_signal(sig);
+      tx.rte->add_route(ids.route_senders[s.routes.front()], *tx.com, s.name);
+      // Each receiving ECU declares the signal once and delivers it into
+      // its slots in connector order.
+      sig.triggered = false;
+      std::set<std::string> signal_ecus;
+      for (const std::size_t ri : s.routes) {
+        const std::string& ecu_name = elab_.routes[ri].to_ecu;
+        EcuCtx& rx = ctx(ecu_name);
+        if (rx_ecus.insert(ecu_name).second) {
+          rx.com->add_rx_ipdu(pdu_cfg, *rx.controller);
         }
-        Rte* rte = receiver.rte.get();
-        receiver.com->on_signal(sspec->name,
-                                [rte, keys = keys](std::uint64_t value) {
-                                  for (const auto& key : keys) {
-                                    rte->deliver(key, value);
-                                  }
-                                });
+        if (signal_ecus.insert(ecu_name).second) rx.com->add_signal(sig);
+        rx.com->on_signal(s.name, [rte = rx.rte.get(),
+                                   slot = ids.route_slots[ri]](
+                                      std::uint64_t value) {
+          rte->deliver(slot, value);
+        });
       }
     }
   }
@@ -312,7 +335,7 @@ void System::quarantine(const std::string& instance) {
   ctx(deployment(instance).ecu).rte->quarantine(instance);
 }
 
-void System::build_tasks() {
+void System::build_tasks(const RteIds& ids) {
   for (const auto& ecu_name : elab_.ecus) {
     EcuCtx& c = ctx(ecu_name);
 
@@ -344,19 +367,19 @@ void System::build_tasks() {
     }
 
     Rte* rte = c.rte.get();
-    auto make_segment = [rte](const std::string& instance,
-                              const TaskRunnable& tr) {
+    auto make_segment = [rte, &ids](const TaskRunnable& tr) {
       // The inlined server-call WCET runs in the caller's context.
       const Runnable* r = tr.runnable;
+      const Rte::BindingId b = ids.bindings[tr.binding];
       os::Segment seg;
       seg.duration = [r, inlined = tr.inlined]() -> sim::Duration {
         if (r->enabled_if && !r->enabled_if()) return 0;
         return (r->execution_time ? r->execution_time() : 0) + inlined;
       };
-      seg.before = [rte, instance, r] { rte->capture_implicit(instance, *r); };
-      seg.after = [rte, instance, r] {
+      seg.before = [rte, b] { rte->capture_implicit(b); };
+      seg.after = [rte, r, b] {
         if (r->enabled_if && !r->enabled_if()) return;
-        rte->run_behavior(instance, *r);
+        rte->run_behavior(b);
       };
       return seg;
     };
@@ -376,13 +399,11 @@ void System::build_tasks() {
         // Event task: activated by every update of its trigger element.
         cfg.max_pending_activations = 8;
         os::Task& task = c.ecu->add_task(cfg);
-        task.add_segment(make_segment(t.instance, t.runnables.front()));
-        const Runnable* r = t.runnables.front().runnable;
+        task.add_segment(make_segment(t.runnables.front()));
         os::Ecu* ecu = c.ecu.get();
         os::Task* task_ptr = &task;
-        rte->on_update(
-            Rte::key(t.instance, r->trigger.port, r->trigger.element),
-            [ecu, task_ptr] { ecu->activate(*task_ptr); });
+        rte->on_update(ids.triggers[t.runnables.front().binding],
+                       [ecu, task_ptr] { ecu->activate(*task_ptr); });
         continue;
       }
       cfg.period = t.table_dispatched ? 0 : t.period;  // TT: table-activated
@@ -391,18 +412,17 @@ void System::build_tasks() {
       // AUTOSAR implicit semantics are task-scoped: ALL implicit inputs of
       // the task's runnables are snapshotted once when the task starts, so
       // multi-element / multi-runnable reads within one job are consistent.
-      bool first_segment = true;
+      std::vector<Rte::BindingId> group;
       for (const auto& tr : t.runnables) {
-        os::Segment seg = make_segment(t.instance, tr);
-        if (first_segment) {
-          seg.before = [rte, instance = t.instance, group = t.runnables] {
-            for (const auto& member : group) {
-              rte->capture_implicit(instance, *member.runnable);
-            }
+        group.push_back(ids.bindings[tr.binding]);
+      }
+      for (const auto& tr : t.runnables) {
+        os::Segment seg = make_segment(tr);
+        seg.before = {};
+        if (&tr == &t.runnables.front()) {
+          seg.before = [rte, group] {
+            for (const Rte::BindingId b : group) rte->capture_implicit(b);
           };
-          first_segment = false;
-        } else {
-          seg.before = {};
         }
         task.add_segment(std::move(seg));
       }
@@ -413,9 +433,9 @@ void System::build_tasks() {
       if (init.ecu != ecu_name) continue;
       kernel_.schedule_at(
           kernel_.now(),
-          [rte, instance = init.instance, r = init.runnable] {
-            rte->capture_implicit(instance, *r);
-            rte->run_behavior(instance, *r);
+          [rte, b = ids.bindings[init.binding]] {
+            rte->capture_implicit(b);
+            rte->run_behavior(b);
           },
           sim::EventOrder::kSoftware);
     }

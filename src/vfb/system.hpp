@@ -9,7 +9,8 @@
 //    priorities per ECU — plus one event task per data-received runnable,
 //  * COM signals/I-PDUs for every cross-ECU connector element, with frame
 //    identifiers by rate on CAN or dedicated static slots on FlexRay,
-//  * RTE routing tables (local copies vs network sends) and data-received
+//  * RTE slots, senders and runnable bindings under dense IDs, the routes
+//    between them (local copies vs network sends) and data-received
 //    activations,
 //  * timing-isolation attributes (budgets, partitions) from the plan —
 //    the §1/§2 multi-supplier protection story.
@@ -123,9 +124,22 @@ class System {
     std::map<std::string, int> partition_ids;
   };
 
+  /// The dense RTE IDs build_rte() bound: per Elaboration::bindings entry
+  /// its Rte binding and data-received trigger slot, per
+  /// Elaboration::routes entry its sender and slot.
+  struct RteIds {
+    std::vector<Rte::BindingId> bindings;
+    std::vector<Rte::SlotId> triggers;
+    std::vector<Rte::SenderId> route_senders;
+    std::vector<Rte::SlotId> route_slots;
+  };
+
   void build();
-  void build_com();
-  void build_tasks();
+  /// Bind every route end and runnable access to its ECU's Rte.
+  RteIds build_rte();
+  /// COM PDUs and signals; cross-ECU routes become signal sends/deliveries.
+  void build_com(const RteIds& ids);
+  void build_tasks(const RteIds& ids);
   void build_monitors();
   /// Bind watchdog alive supervision from the elaborated heartbeats (the
   /// fail-silence detector; plan_.alive_supervision opt-in): per

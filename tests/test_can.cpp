@@ -41,6 +41,16 @@ TEST(CanBus, FrameTimeMatchesDavisFormula) {
   EXPECT_EQ(frame_transmission_time(8, 1'000'000), microseconds(135));
 }
 
+TEST(CanBus, NonPositiveBitrateRejected) {
+  // The bitrate is checked before the bit time divides by it.
+  Fixture f;
+  for (const std::int64_t bps : {0, -500'000}) {
+    EXPECT_THROW(CanBus(f.kernel, f.trace, {.bitrate_bps = bps}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)frame_transmission_time(8, bps), std::invalid_argument);
+  }
+}
+
 TEST(CanBus, FanOutSharesOnePayloadBuffer) {
   // Broadcast delivery must not deep-copy the payload per receiver: every
   // controller's rx callback sees the same shared immutable buffer.

@@ -275,6 +275,15 @@ TEST(Lin, ChecksumErrorsSuppressDelivery) {
   EXPECT_EQ(bus.stats().frames_delivered() + bus.checksum_errors(), 100u);
 }
 
+TEST(Lin, NonPositiveBitrateRejected) {
+  Kernel kernel;
+  Trace trace;
+  for (const std::int64_t bps : {0, -19'200}) {
+    EXPECT_THROW(lin::LinBus(kernel, trace, {.bitrate_bps = bps}),
+                 std::invalid_argument);
+  }
+}
+
 TEST(Lin, ConfigurationErrorsRejected) {
   LinFixture f;
   EXPECT_THROW(f.door.send(lin_frame(0x70, {1})), std::invalid_argument);

@@ -57,6 +57,17 @@ TEST(FlexRay, CycleLengthMatchesConfig) {
             4 * 13'800 + 20 * 2'000 + 10'000);
 }
 
+TEST(FlexRay, NonPositiveBitrateRejected) {
+  Fixture f;
+  for (const std::int64_t bps : {0, -10'000'000}) {
+    auto cfg = small_config();
+    cfg.bitrate_bps = bps;
+    EXPECT_THROW(FlexRayBus(f.kernel, f.trace, cfg), std::invalid_argument);
+    EXPECT_THROW((void)FlexRayBus::slot_length(cfg), std::invalid_argument);
+    EXPECT_THROW((void)FlexRayBus::cycle_length(cfg), std::invalid_argument);
+  }
+}
+
 TEST(FlexRay, StaticFrameDeliveredAtSlotEnd) {
   Fixture f;
   FlexRayBus bus(f.kernel, f.trace, small_config());

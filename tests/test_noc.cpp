@@ -64,6 +64,15 @@ TEST(Noc, TdmaDeliversWithinOwnSlot) {
   EXPECT_EQ(a.messages_sent(), 1u);
 }
 
+TEST(Noc, NonPositiveLinkBandwidthRejected) {
+  Fixture f;
+  for (const std::int64_t bps : {0, -1}) {
+    NocConfig cfg = config(Arbitration::kTdma);
+    cfg.link_bandwidth_bps = bps;
+    EXPECT_THROW(Noc(f.kernel, f.trace, cfg), std::invalid_argument);
+  }
+}
+
 TEST(Noc, TdmaMessageWaitsForOwnersSlot) {
   Fixture f;
   Noc noc(f.kernel, f.trace, config(Arbitration::kTdma));

@@ -33,6 +33,16 @@ TEST(Tte, WireTimeIncludesEthernetOverhead) {
   EXPECT_EQ(f.sw.tx_time(1), 6'720);
 }
 
+TEST(Tte, NonPositiveLinkBandwidthRejected) {
+  Kernel kernel;
+  Trace trace;
+  for (const std::int64_t bps : {0, -1}) {
+    TteConfig cfg;
+    cfg.link_bandwidth_bps = bps;
+    EXPECT_THROW(TteSwitch(kernel, trace, cfg), std::invalid_argument);
+  }
+}
+
 TEST(Tte, TtFrameDeliveredAtScheduledInstant) {
   Fixture f;
   auto& a = f.sw.attach("a");

@@ -669,6 +669,49 @@ TEST(ValidatorV9, GenerousDeadlineReportsSlackNotError) {
   EXPECT_FALSE(d.has_errors()) << d.render();
 }
 
+TEST(ValidatorV5, NonPositiveBusBitrateIsAPlanError) {
+  // A two-ECU event chain with a latency assumption: elaboration packs PDUs
+  // and the chain analysis times the bus, so both would divide by the
+  // bitrate. They must report it instead.
+  Composition c = event_chain();
+  Contract consumer{.name = "CCons"};
+  consumer.assumptions.push_back(FlowSpec{
+      .flow = "in.val", .timing = {.latency = orte::sim::seconds(1)}});
+  c.bind_contract("k", consumer);
+  for (const BusKind bus : {BusKind::kCan, BusKind::kFlexRay}) {
+    const bool can = bus == BusKind::kCan;
+    SCOPED_TRACE(can ? "CAN" : "FlexRay");
+    DeploymentPlan plan = cross_ecu_plan();
+    plan.bus = bus;
+    (can ? plan.can.bitrate_bps : plan.flexray.bitrate_bps) = 0;
+    const Diagnostics d = orte::validation::validate(c, plan);
+    const auto v5 = d.by_rule("V5");
+    ASSERT_EQ(v5.size(), 1u) << d.render();
+    EXPECT_EQ(v5.front()->severity, Severity::kError);
+    EXPECT_EQ(v5.front()->subject,
+              can ? "plan.can.bitrate_bps" : "plan.flexray.bitrate_bps");
+    const auto chains =
+        orte::validation::analyze_chains(c, plan, c.bound_contracts());
+    ASSERT_EQ(chains.bounds.size(), 1u);
+    EXPECT_FALSE(chains.bounds.front().computable);
+
+    Kernel kernel;
+    Trace trace;
+    try {
+      System sys(kernel, trace, c, plan);
+      ADD_FAILURE() << "System accepted a zero bitrate";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("error[V5]"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Only the bus the plan deploys on is judged.
+  DeploymentPlan flexray = cross_ecu_plan();
+  flexray.bus = BusKind::kFlexRay;
+  flexray.can.bitrate_bps = 0;
+  EXPECT_FALSE(has_rule(orte::validation::validate(c, flexray), "V5"));
+}
+
 // --- V10: monitor coverage -------------------------------------------------------
 
 TEST(ValidatorV10, UnresolvableLatencyAssumptionWarns) {

@@ -150,6 +150,87 @@ struct PipelineModel {
   }
 };
 
+TEST(Elaboration, RouteTableExpandsEveryConnectorElementOnce) {
+  // p.out (elements a, b) feeds k1 on p's ECU and k2 on another; k2's
+  // data-received runnable triggers on b.
+  Composition comp;
+  PortInterface pair;
+  pair.name = "IPair";
+  pair.elements = {DataElement{"a", 8, 1, false},
+                   DataElement{"b", 8, 2, false}};
+  comp.add_interface(pair);
+  Runnable produce;
+  produce.name = "produce";
+  produce.trigger = RunnableTrigger::timing(milliseconds(10));
+  produce.accesses = {{"out", "a", DataAccessKind::kExplicitWrite},
+                      {"out", "b", DataAccessKind::kImplicitWrite}};
+  comp.add_type({"P", {Port{"out", "IPair", PortDirection::kProvided}},
+                 {produce}});
+  Runnable on_b;
+  on_b.name = "on_b";
+  on_b.trigger = RunnableTrigger::data_received("in", "b");
+  on_b.accesses = {{"in", "a", DataAccessKind::kImplicitRead}};
+  comp.add_type({"K", {Port{"in", "IPair", PortDirection::kRequired}},
+                 {on_b}});
+  comp.add_instance({"p", "P"});
+  comp.add_instance({"k1", "K"});
+  comp.add_instance({"k2", "K"});
+  comp.add_connector({"p", "out", "k1", "in"});
+  comp.add_connector({"p", "out", "k2", "in"});
+  DeploymentPlan plan;
+  plan.instances["p"] = {.ecu = "A"};
+  plan.instances["k1"] = {.ecu = "A"};
+  plan.instances["k2"] = {.ecu = "B"};
+
+  const Elaboration elab = elaborate(comp, plan);
+  ASSERT_EQ(elab.routes.size(), 4u);  // connector x element order
+  const std::vector<std::pair<std::string, std::string>> keys = {
+      {"p.out.a", "k1.in.a"},
+      {"p.out.b", "k1.in.b"},
+      {"p.out.a", "k2.in.a"},
+      {"p.out.b", "k2.in.b"}};
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const Route& r = elab.routes[i];
+    EXPECT_EQ(r.sender_key, keys[i].first);
+    EXPECT_EQ(r.receiver_key, keys[i].second);
+    EXPECT_EQ(r.connector, &comp.connectors()[i / 2]);
+    EXPECT_EQ(r.element, &comp.interface("IPair").elements[i % 2]);
+    EXPECT_EQ(r.from_ecu, "A");
+    EXPECT_EQ(r.to_ecu, i < 2 ? "A" : "B");
+    EXPECT_EQ(r.cross_ecu, i >= 2);
+  }
+  // Each receiver slot activates the event task of its consumer's trigger.
+  const ElaboratedTask* k1_task = elab.task_for("k1", "on_b");
+  const ElaboratedTask* k2_task = elab.task_for("k2", "on_b");
+  ASSERT_NE(k1_task, nullptr);
+  ASSERT_NE(k2_task, nullptr);
+  EXPECT_TRUE(elab.routes[0].activates.empty());
+  EXPECT_TRUE(elab.routes[2].activates.empty());
+  ASSERT_EQ(elab.routes[1].activates.size(), 1u);
+  EXPECT_EQ(&elab.tasks[elab.routes[1].activates[0]], k1_task);
+  ASSERT_EQ(elab.routes[3].activates.size(), 1u);
+  EXPECT_EQ(&elab.tasks[elab.routes[3].activates[0]], k2_task);
+  // Cross-ECU routes become one signal per sender key.
+  ASSERT_EQ(elab.signals.size(), 2u);
+  EXPECT_EQ(elab.signals[0].routes, (std::vector<std::size_t>{2}));
+  EXPECT_EQ(elab.signals[1].routes, (std::vector<std::size_t>{3}));
+  // Bindings: one key per declared access, plus the trigger slot.
+  ASSERT_EQ(elab.bindings.size(), 3u);
+  EXPECT_EQ(elab.bindings[0].keys,
+            (std::vector<std::string>{"p.out.a", "p.out.b"}));
+  EXPECT_EQ(elab.bindings[2].keys, (std::vector<std::string>{"k2.in.a"}));
+  EXPECT_EQ(elab.bindings[2].trigger_key, "k2.in.b");
+
+  // Without a plan the same expansion has no ECUs and nothing crosses.
+  const RouteTable plan_free = expand_routes(comp, nullptr);
+  ASSERT_EQ(plan_free.routes.size(), 4u);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(plan_free.routes[i].receiver_key, keys[i].second);
+    EXPECT_TRUE(plan_free.routes[i].to_ecu.empty());
+    EXPECT_FALSE(plan_free.routes[i].cross_ecu);
+  }
+}
+
 TEST(System, SameEcuCommunication) {
   Kernel kernel;
   Trace trace;
@@ -304,50 +385,72 @@ TEST(System, ImplicitReadSeesStableSnapshot) {
   }
 }
 
-TEST(System, QueuedElementsDeliverFifoWithoutLoss) {
-  Kernel kernel;
-  Trace trace;
-  std::vector<std::uint64_t> consumed;
-  // Producer at 10ms, consumer at 20ms: a last-is-best element would drop
-  // every other value; a queued element must deliver all, in order.
-  Composition comp;
-  comp.add_interface(value_interface("IVal", /*queued=*/true));
-  Runnable produce;
-  produce.name = "produce";
-  produce.trigger = RunnableTrigger::timing(milliseconds(10));
-  produce.execution_time = [] { return microseconds(100); };
-  produce.accesses.push_back({"out", "val", DataAccessKind::kExplicitWrite});
-  produce.behavior = [n = std::uint64_t{0}](RunnableContext& ctx) mutable {
-    ctx.write("out", "val", ++n);
-  };
-  comp.add_type(
-      {"Producer", {Port{"out", "IVal", PortDirection::kProvided}}, {produce}});
-  Runnable consume;
-  consume.name = "consume";
-  consume.trigger = RunnableTrigger::timing(milliseconds(20));
-  consume.execution_time = [] { return microseconds(100); };
-  consume.accesses.push_back({"in", "val", DataAccessKind::kExplicitRead});
-  consume.behavior = [&consumed](RunnableContext& ctx) {
-    // Drain up to two queued values per activation.
-    for (int i = 0; i < 2; ++i) {
-      const auto v = ctx.read("in", "val");
-      if (v != 0) consumed.push_back(v);
-    }
-  };
-  comp.add_type(
-      {"Consumer", {Port{"in", "IVal", PortDirection::kRequired}}, {consume}});
-  comp.add_instance({"p", "Producer"});
-  comp.add_instance({"k", "Consumer"});
-  comp.add_connector({"p", "out", "k", "in"});
+namespace {
 
+/// Where the consumer of a queued-element model runs: beside the producer
+/// (a local route) or on a second ECU behind CAN (a COM-fed receiver slot).
+struct ConsumerDeployment {
+  const char* label;
+  const char* ecu;
+};
+constexpr ConsumerDeployment kConsumerDeployments[] = {
+    {"same ECU", "ecu0"}, {"cross-ECU CAN", "ecu1"}};
+
+DeploymentPlan producer_consumer_plan(const ConsumerDeployment& d) {
   DeploymentPlan plan;
   plan.instances["p"] = {.ecu = "ecu0"};
-  plan.instances["k"] = {.ecu = "ecu0"};
-  System sys(kernel, trace, comp, plan);
-  sys.run_for(milliseconds(200));
-  ASSERT_GE(consumed.size(), 10u);
-  for (std::size_t i = 1; i < consumed.size(); ++i) {
-    EXPECT_EQ(consumed[i], consumed[i - 1] + 1);  // FIFO, lossless
+  plan.instances["k"] = {.ecu = d.ecu};
+  return plan;
+}
+
+}  // namespace
+
+TEST(System, QueuedElementsDeliverFifoWithoutLoss) {
+  for (const auto& d : kConsumerDeployments) {
+    SCOPED_TRACE(d.label);
+    Kernel kernel;
+    Trace trace;
+    std::vector<std::uint64_t> consumed;
+    // Producer at 10ms, consumer at 20ms: a last-is-best element would drop
+    // every other value; a queued element must deliver all, in order.
+    Composition comp;
+    comp.add_interface(value_interface("IVal", /*queued=*/true));
+    Runnable produce;
+    produce.name = "produce";
+    produce.trigger = RunnableTrigger::timing(milliseconds(10));
+    produce.execution_time = [] { return microseconds(100); };
+    produce.accesses.push_back({"out", "val", DataAccessKind::kExplicitWrite});
+    produce.behavior = [n = std::uint64_t{0}](RunnableContext& ctx) mutable {
+      ctx.write("out", "val", ++n);
+    };
+    comp.add_type({"Producer",
+                   {Port{"out", "IVal", PortDirection::kProvided}},
+                   {produce}});
+    Runnable consume;
+    consume.name = "consume";
+    consume.trigger = RunnableTrigger::timing(milliseconds(20));
+    consume.execution_time = [] { return microseconds(100); };
+    consume.accesses.push_back({"in", "val", DataAccessKind::kExplicitRead});
+    consume.behavior = [&consumed](RunnableContext& ctx) {
+      // Drain up to two queued values per activation.
+      for (int i = 0; i < 2; ++i) {
+        const auto v = ctx.read("in", "val");
+        if (v != 0) consumed.push_back(v);
+      }
+    };
+    comp.add_type({"Consumer",
+                   {Port{"in", "IVal", PortDirection::kRequired}},
+                   {consume}});
+    comp.add_instance({"p", "Producer"});
+    comp.add_instance({"k", "Consumer"});
+    comp.add_connector({"p", "out", "k", "in"});
+
+    System sys(kernel, trace, comp, producer_consumer_plan(d));
+    sys.run_for(milliseconds(200));
+    ASSERT_GE(consumed.size(), 10u);
+    for (std::size_t i = 1; i < consumed.size(); ++i) {
+      EXPECT_EQ(consumed[i], consumed[i - 1] + 1);  // FIFO, lossless
+    }
   }
 }
 
@@ -403,67 +506,117 @@ struct OverflowModel {
 }  // namespace
 
 TEST(System, QueuedElementRejectPolicyKeepsOldest) {
-  Kernel kernel;
-  Trace trace;
-  std::vector<std::uint64_t> consumed;
-  OverflowModel m(&consumed, /*queue_length=*/2, QueueOverflow::kReject);
-  DeploymentPlan plan;
-  plan.instances["p"] = {.ecu = "ecu0"};
-  plan.instances["k"] = {.ecu = "ecu0"};
-  System sys(kernel, trace, m.comp, plan);
-  sys.run_for(milliseconds(600));
-  // The burst (values 1..10 within 45ms) overruns the 2-deep queue while the
-  // consumer pops at most once per 50ms. Reject drops the NEWEST writes, so
-  // only the earliest values survive; the tail of the burst is lost forever.
-  ASSERT_GE(consumed.size(), 2u);
-  EXPECT_EQ(consumed[0], 1u);
-  for (std::size_t i = 0; i < consumed.size(); ++i) {
-    EXPECT_LE(consumed[i], 4u);
-    if (i > 0) {
-      EXPECT_GT(consumed[i], consumed[i - 1]);
+  for (const auto& d : kConsumerDeployments) {
+    SCOPED_TRACE(d.label);
+    Kernel kernel;
+    Trace trace;
+    std::vector<std::uint64_t> consumed;
+    OverflowModel m(&consumed, /*queue_length=*/2, QueueOverflow::kReject);
+    System sys(kernel, trace, m.comp, producer_consumer_plan(d));
+    sys.run_for(milliseconds(600));
+    // The burst (values 1..10 within 45ms) overruns the 2-deep queue while
+    // the consumer pops at most once per 50ms. Reject drops the NEWEST
+    // writes, so only the earliest values survive; the tail of the burst is
+    // lost forever.
+    ASSERT_GE(consumed.size(), 2u);
+    EXPECT_EQ(consumed[0], 1u);
+    for (std::size_t i = 0; i < consumed.size(); ++i) {
+      EXPECT_LE(consumed[i], 4u);
+      if (i > 0) {
+        EXPECT_GT(consumed[i], consumed[i - 1]);
+      }
     }
+    EXPECT_GE(sys.rte(d.ecu).overflows(), 6u);
+    EXPECT_GE(trace.count("rte.queue_overflow", "k.in.val"), 6u);
   }
-  EXPECT_GE(sys.rte("ecu0").overflows(), 6u);
-  EXPECT_GE(trace.count("rte.queue_overflow", "k.in.val"), 6u);
 }
 
 TEST(System, QueuedElementDropOldestPolicyKeepsNewest) {
-  Kernel kernel;
-  Trace trace;
-  std::vector<std::uint64_t> consumed;
-  OverflowModel m(&consumed, /*queue_length=*/2, QueueOverflow::kDropOldest);
-  DeploymentPlan plan;
-  plan.instances["p"] = {.ecu = "ecu0"};
-  plan.instances["k"] = {.ecu = "ecu0"};
-  System sys(kernel, trace, m.comp, plan);
-  sys.run_for(milliseconds(600));
-  // Drop-oldest displaces the head: after the burst the queue holds the
-  // NEWEST values (9, 10), so the consumer ends up at the burst's tail.
-  ASSERT_GE(consumed.size(), 2u);
-  for (std::size_t i = 1; i < consumed.size(); ++i) {
-    EXPECT_GT(consumed[i], consumed[i - 1]);
+  for (const auto& d : kConsumerDeployments) {
+    SCOPED_TRACE(d.label);
+    Kernel kernel;
+    Trace trace;
+    std::vector<std::uint64_t> consumed;
+    OverflowModel m(&consumed, /*queue_length=*/2, QueueOverflow::kDropOldest);
+    System sys(kernel, trace, m.comp, producer_consumer_plan(d));
+    sys.run_for(milliseconds(600));
+    // Drop-oldest displaces the head: after the burst the queue holds the
+    // NEWEST values (9, 10), so the consumer ends up at the burst's tail.
+    ASSERT_GE(consumed.size(), 2u);
+    for (std::size_t i = 1; i < consumed.size(); ++i) {
+      EXPECT_GT(consumed[i], consumed[i - 1]);
+    }
+    EXPECT_EQ(consumed.back(), 10u);
+    EXPECT_EQ(consumed[consumed.size() - 2], 9u);
+    EXPECT_GE(sys.rte(d.ecu).overflows(), 6u);
   }
-  EXPECT_EQ(consumed.back(), 10u);
-  EXPECT_EQ(consumed[consumed.size() - 2], 9u);
-  EXPECT_GE(sys.rte("ecu0").overflows(), 6u);
 }
 
 TEST(System, QueuedElementUnboundedOptOutNeverOverflows) {
+  for (const auto& d : kConsumerDeployments) {
+    SCOPED_TRACE(d.label);
+    Kernel kernel;
+    Trace trace;
+    std::vector<std::uint64_t> consumed;
+    OverflowModel m(&consumed, /*queue_length=*/0, QueueOverflow::kReject);
+    System sys(kernel, trace, m.comp, producer_consumer_plan(d));
+    sys.run_for(milliseconds(600));
+    // queue_length = 0 opts out of the bound: every burst value is retained
+    // and eventually drained, in order, with no overflow.
+    EXPECT_EQ(sys.rte(d.ecu).overflows(), 0u);
+    EXPECT_EQ(trace.count("rte.queue_overflow", "k.in.val"), 0u);
+    EXPECT_EQ(consumed,
+              (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+  }
+}
+
+TEST(System, UnconnectedRequiredPortReadsYieldInit) {
+  // Implicit, explicit and queued reads of required ports no connector
+  // feeds: every read, before and after the first job, sees the element's
+  // init (a queued slot never fills, so each pop falls back to init).
   Kernel kernel;
   Trace trace;
-  std::vector<std::uint64_t> consumed;
-  OverflowModel m(&consumed, /*queue_length=*/0, QueueOverflow::kReject);
+  Composition comp;
+  const auto iface = [&comp](const char* name, std::uint64_t init,
+                             bool queued) {
+    PortInterface i;
+    i.name = name;
+    i.elements.push_back(DataElement{"val", 64, init, queued});
+    comp.add_interface(i);
+  };
+  iface("IImplicit", 7, false);
+  iface("IExplicit", 8, false);
+  iface("IQueued", 9, true);
+  std::vector<std::uint64_t> reads;
+  Runnable r;
+  r.name = "read_all";
+  r.trigger = RunnableTrigger::timing(milliseconds(10));
+  r.accesses = {{"a", "val", DataAccessKind::kImplicitRead},
+                {"b", "val", DataAccessKind::kExplicitRead},
+                {"q", "val", DataAccessKind::kExplicitRead}};
+  r.behavior = [&reads](RunnableContext& ctx) {
+    reads.push_back(ctx.read("a", "val"));
+    reads.push_back(ctx.read("b", "val"));
+    reads.push_back(ctx.read("q", "val"));
+    reads.push_back(ctx.read("q", "val"));
+  };
+  comp.add_type({"Reader",
+                 {Port{"a", "IImplicit", PortDirection::kRequired},
+                  Port{"b", "IExplicit", PortDirection::kRequired},
+                  Port{"q", "IQueued", PortDirection::kRequired}},
+                 {r}});
+  comp.add_instance({"k", "Reader"});
   DeploymentPlan plan;
-  plan.instances["p"] = {.ecu = "ecu0"};
   plan.instances["k"] = {.ecu = "ecu0"};
-  System sys(kernel, trace, m.comp, plan);
-  sys.run_for(milliseconds(600));
-  // queue_length = 0 opts out of the bound: every burst value is retained
-  // and eventually drained, in order, with no overflow.
-  EXPECT_EQ(sys.rte("ecu0").overflows(), 0u);
-  EXPECT_EQ(trace.count("rte.queue_overflow", "k.in.val"), 0u);
-  EXPECT_EQ(consumed,
-            (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+  System sys(kernel, trace, comp, plan);
+  sys.run_for(milliseconds(25));
+  ASSERT_EQ(reads.size(), 12u);  // jobs at 0, 10 and 20 ms
+  for (std::size_t i = 0; i < reads.size(); i += 4) {
+    EXPECT_EQ(reads[i], 7u);
+    EXPECT_EQ(reads[i + 1], 8u);
+    EXPECT_EQ(reads[i + 2], 9u);
+    EXPECT_EQ(reads[i + 3], 9u);
+  }
 }
 
 TEST(System, ClientServerCallInlinedAndRouted) {

@@ -52,6 +52,12 @@ FlexRayBus::FlexRayBus(sim::Kernel& kernel, sim::Trace& trace,
   if (cfg_.static_slots == 0) {
     throw std::invalid_argument("FlexRay config invalid");
   }
+  if (cfg_.network_idle < 0) {
+    throw std::invalid_argument("FlexRay network_idle must be >= 0");
+  }
+  if (cfg_.minislots > 0 && cfg_.minislot_len <= 0) {
+    throw std::invalid_argument("FlexRay minislot_len must be positive");
+  }
   static_slot_len_ = slot_length(cfg_);
   dynamic_len_ = static_cast<Duration>(cfg_.minislots) * cfg_.minislot_len;
   cycle_len_ = cycle_length(cfg_);
@@ -84,8 +90,8 @@ void FlexRayBus::start() {
   started_ = true;
   const Time origin = kernel_.now();
   cycle_start_ = origin - cycle_len_;
-  kernel_.schedule_at(origin, [this] { begin_cycle(); },
-                      sim::EventOrder::kHardware);
+  next_cycle_ = kernel_.schedule_at(origin, [this] { begin_cycle(); },
+                                    sim::EventOrder::kHardware);
   // Frames buffered before start(): slot 1 runs inside the first
   // begin_cycle, every later occupied slot is armed for its first start.
   for (std::size_t k = 2; k <= cfg_.static_slots; ++k) {
@@ -139,6 +145,28 @@ void FlexRayBus::submit_dynamic(Frame frame) {
                 dynamic_queue_.back().id);
     dynamic_queue_.pop_back();  // shed the lowest-priority frame
   }
+  if (!started_ || segment_due_) return;
+  // Arm this cycle's segment if its start is still ahead, by the rule that
+  // arm_static_slot applies to a slot start; otherwise the next begin_cycle
+  // finds the queue non-empty and arms it.
+  const Time now = kernel_.now();
+  const Time when = cycle_start_ + static_cast<Duration>(cfg_.static_slots) *
+                                       static_slot_len_;
+  if (when > now ||
+      (when == now && last_boundary_ != now &&
+       !kernel_.passed(sim::EventOrder::kHardware))) {
+    arm_dynamic_segment();
+  }
+}
+
+void FlexRayBus::arm_dynamic_segment() {
+  segment_due_ = true;
+  const std::size_t last = cfg_.static_slots;
+  // A frame on the wire in the last static slot runs the segment from its
+  // delivery. An armed event is cancelled if the last slot transmits first.
+  if (tx_slot_ == last) return;
+  arm_at(last + 1,
+         cycle_start_ + static_cast<Duration>(last) * static_slot_len_);
 }
 
 void FlexRayBus::begin_cycle() {
@@ -146,12 +174,18 @@ void FlexRayBus::begin_cycle() {
   cycle_start_ = kernel_.now();
   trace_.emit(kernel_.now(), "fr.cycle", cfg_.name,
               static_cast<std::int64_t>(cycle_count_));
-  // The dynamic segment gets its own event unless the last static slot is
-  // already full: then its delivery runs the segment.
-  const std::size_t last = cfg_.static_slots;
-  if (!slot_buffer_[last].has_value()) {
-    arm_at(last + 1,
-           kernel_.now() + static_cast<Duration>(last) * static_slot_len_);
+  segment_due_ = false;
+  if (dynamic_queue_.empty()) {
+    // No dynamic frame: the segment is not armed, so the cycle start arms
+    // the next one itself. A frame queued later in the cycle arms the
+    // segment, which then re-arms the next cycle start.
+    next_cycle_ = kernel_.schedule_at(
+        cycle_start_ + cycle_len_, [this] { begin_cycle(); },
+        sim::EventOrder::kHardware);
+  } else if (slot_buffer_[cfg_.static_slots].has_value()) {
+    segment_due_ = true;  // the last static slot's delivery runs it
+  } else {
+    arm_dynamic_segment();
   }
   run_slot(1);
 }
@@ -159,7 +193,7 @@ void FlexRayBus::begin_cycle() {
 void FlexRayBus::run_slot(std::size_t index) {
   last_boundary_ = kernel_.now();
   if (index > cfg_.static_slots) {
-    begin_dynamic_segment();
+    if (segment_due_) begin_dynamic_segment();
     return;
   }
   if (!slot_buffer_[index].has_value()) return;  // idle slot: nothing to do
@@ -187,6 +221,7 @@ void FlexRayBus::begin_dynamic_segment() {
   // Mini-slotting: walk the priority-sorted queue; each frame needs
   // ceil(tx_time / minislot) minislots and transmits only if they all fit
   // before the segment ends. Frames that do not fit wait for the next cycle.
+  segment_due_ = false;
   const Time segment_end = kernel_.now() + dynamic_len_;
   Time cursor = kernel_.now();
   std::deque<Frame> deferred;
@@ -219,9 +254,12 @@ void FlexRayBus::begin_dynamic_segment() {
     cursor = done;
   }
   dynamic_queue_ = std::move(deferred);
-  // Next cycle after dynamic segment + network idle time.
-  kernel_.schedule_at(segment_end + cfg_.network_idle,
-                      [this] { begin_cycle(); }, sim::EventOrder::kHardware);
+  // Next cycle after dynamic segment + network idle time; it replaces the
+  // cycle start armed by begin_cycle if the segment was armed mid-cycle.
+  kernel_.cancel(next_cycle_);
+  next_cycle_ = kernel_.schedule_at(segment_end + cfg_.network_idle,
+                                    [this] { begin_cycle(); },
+                                    sim::EventOrder::kHardware);
 }
 
 void FlexRayBus::deliver(Frame frame) {

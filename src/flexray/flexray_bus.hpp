@@ -10,12 +10,14 @@
 // Slot instants are arithmetic, not a chain of events: cycle n starts at
 // start() + n * cycle_len() and static slot k at that plus (k-1) * slot_len.
 // The kernel sees one event per cycle start (fr.cycle, cycles()), one per
-// dynamic segment, and one per occupied static slot; an idle slot is free.
-// Filling an empty slot buffer arms that slot's next start; a slot that
-// starts where the previous slot's frame is delivered (or slot 1 at the
-// cycle start, or the dynamic segment after the last slot's delivery) runs
-// inside that event instead, so same-instant ordering — and hence the trace
-// — matches a bus that ticks every slot (DESIGN.md, "TDMA slot loops").
+// occupied static slot, and one per dynamic segment that has a frame to
+// send; an idle slot or an empty segment is free. Filling an empty slot
+// buffer arms that slot's next start, and queueing a dynamic frame arms the
+// next segment start; a slot that starts where the previous slot's frame is
+// delivered (or slot 1 at the cycle start, or the dynamic segment after the
+// last slot's delivery) runs inside that event instead, so same-instant
+// ordering — and hence the trace — matches a bus that ticks every slot
+// (DESIGN.md, "TDMA slot loops").
 #pragma once
 
 #include <cstdint>
@@ -60,8 +62,8 @@ struct FlexRayConfig {
   std::size_t static_slots = 16;
   std::size_t static_payload_bytes = 16;  ///< Payload capacity per slot.
   std::size_t minislots = 40;
-  Duration minislot_len = sim::microseconds(2);
-  Duration network_idle = sim::microseconds(50);
+  Duration minislot_len = sim::microseconds(2);  ///< > 0 when minislots > 0.
+  Duration network_idle = sim::microseconds(50);  ///< >= 0.
   /// Controller transmit-buffer depth for dynamic frames; when full, the
   /// lowest-priority pending frame is dropped (real controllers have finite
   /// message RAM — an unbounded backlog would hide a misconfigured system).
@@ -116,6 +118,9 @@ class FlexRayBus {
 
   void submit_static(Frame frame);
   void submit_dynamic(Frame frame);
+  /// Mark this cycle's dynamic segment due and arm its start, unless the
+  /// last static slot's delivery will run it.
+  void arm_dynamic_segment();
   void begin_cycle();
   /// Arm static slot `index` (>= 2) for its next start the bus has not yet
   /// reached, unless the event delivering slot index-1 already covers it.
@@ -145,6 +150,12 @@ class FlexRayBus {
   /// Armed boundary events per slot index; static_slots + 1 is the dynamic
   /// segment. Unused for slot 1, which always runs inside begin_cycle.
   std::vector<sim::EventHandle> armed_;
+  /// The next cycle start: armed by begin_cycle when no dynamic frame is
+  /// queued, else (and then again) by the dynamic segment.
+  sim::EventHandle next_cycle_;
+  /// This cycle's dynamic segment will run (armed, or reached from the
+  /// last static slot's delivery).
+  bool segment_due_ = false;
   /// Start of the current cycle (one cycle before start() until the first
   /// begin_cycle runs).
   Time cycle_start_ = 0;

@@ -32,8 +32,8 @@ class Monitor {
 
   /// One routing key. An empty subject means "every subject of the
   /// category" — the registry keeps those in a per-category wildcard
-  /// bucket; non-empty subjects are reached through the
-  /// (category_id, subject_id) index in one hash lookup.
+  /// bucket; non-empty subjects are reached through the category's
+  /// subject_id index in one vector lookup.
   struct Subscription {
     std::string category;
     std::string subject;

@@ -37,27 +37,38 @@ std::uint32_t contract_dtc_code(std::string_view contract) {
   return static_cast<std::uint32_t>((h ^ (h >> 24)) & 0xFFFFFFu);
 }
 
-MonitorRegistry::MonitorRegistry(sim::Trace& trace) : trace_(trace) {
-  // ID-only subscription: the registry routes and delivers on interned IDs
-  // exclusively, so its presence never forces the trace to materialize
-  // name strings for unwatched — or even watched — records.
-  trace_.subscribe_ids([this](const sim::TraceEvent& rec) {
-    auto it = index_.find(rec.category_id);
-    if (it == index_.end()) return;  // category nobody watches
-    ++records_routed_;
-    const CategoryBucket& bucket = it->second;
-    bool delivered = false;
-    auto sit = bucket.by_subject.find(rec.subject_id);
-    if (sit != bucket.by_subject.end()) {
-      delivered = true;
-      for (Monitor* m : sit->second) m->observe(rec);
-    }
-    if (!bucket.wildcard.empty()) {
-      delivered = true;
-      for (Monitor* m : bucket.wildcard) m->observe(rec);
-    }
-    records_delivered_ += delivered ? 1 : 0;
-  });
+MonitorRegistry::MonitorRegistry(sim::Trace& trace) : trace_(trace) {}
+
+MonitorRegistry::CategoryBucket& MonitorRegistry::bucket_of(
+    std::string_view category) {
+  const sim::TraceId id = trace_.intern_category(category);
+  const auto [it, fresh] = index_.try_emplace(id);
+  CategoryBucket& bucket = it->second;  // node-based map: address is stable
+  if (fresh) {
+    // One listener per watched category: the trace never calls the
+    // registry for a category nobody watches, and the registry routes on
+    // interned IDs only, so no name string is ever materialized.
+    trace_.subscribe_ids(id, [this, &bucket](const sim::TraceEvent& rec) {
+      route(bucket, rec);
+    });
+  }
+  return bucket;
+}
+
+void MonitorRegistry::route(const CategoryBucket& bucket,
+                            const sim::TraceEvent& rec) {
+  ++records_routed_;
+  bool delivered = false;
+  if (rec.subject_id < bucket.by_subject.size() &&
+      !bucket.by_subject[rec.subject_id].empty()) {
+    delivered = true;
+    for (Monitor* m : bucket.by_subject[rec.subject_id]) m->observe(rec);
+  }
+  if (!bucket.wildcard.empty()) {
+    delivered = true;
+    for (Monitor* m : bucket.wildcard) m->observe(rec);
+  }
+  records_delivered_ += delivered ? 1 : 0;
 }
 
 void MonitorRegistry::attach(Monitor& monitor) {
@@ -75,16 +86,20 @@ void MonitorRegistry::attach(Monitor& monitor) {
   // record would reach it twice.
   for (const auto& sub : subs) {
     if (!sub.subject.empty()) continue;
-    enter(index_[trace_.intern_category(sub.category)].wildcard);
+    enter(bucket_of(sub.category).wildcard);
   }
   for (const auto& sub : subs) {
     if (sub.subject.empty()) continue;
-    CategoryBucket& bucket = index_[trace_.intern_category(sub.category)];
+    CategoryBucket& bucket = bucket_of(sub.category);
     if (std::find(bucket.wildcard.begin(), bucket.wildcard.end(), &monitor) !=
         bucket.wildcard.end()) {
       continue;  // already sees every subject of this category
     }
-    enter(bucket.by_subject[trace_.intern_subject(sub.subject)]);
+    const sim::TraceId subject = trace_.intern_subject(sub.subject);
+    if (subject >= bucket.by_subject.size()) {
+      bucket.by_subject.resize(subject + 1);
+    }
+    enter(bucket.by_subject[subject]);
   }
 }
 

@@ -1,11 +1,11 @@
-// MonitorRegistry: the fan-in point of the runtime-verification layer. It
-// subscribes ONE listener to the sim::Trace and routes each record through
-// a (category_id, subject_id) index built at attach() time from the
-// monitors' declared subscriptions. Per-subject monitors (arrival,
-// deadline, latency source/sink) are reached in one hash lookup by interned
-// ID — cost per record is O(1) in the monitor count, zero for categories
-// nobody watches; a per-category wildcard bucket serves any-subject
-// automaton rules.
+// MonitorRegistry: the fan-in point of the runtime-verification layer. At
+// attach() time it subscribes one sim::Trace listener per category its
+// monitors watch, and files each monitor under that category's bucket by
+// interned subject ID. Per-subject monitors (arrival, deadline, latency
+// source/sink) are reached by one vector index — cost per record is O(1)
+// in the monitor count, and a category nobody watches never reaches the
+// registry; a per-category wildcard bucket serves any-subject automaton
+// rules.
 //
 // Violations flow three ways, mirroring §4's error-containment story:
 //  (a) recorded in the queryable HealthReport, which keeps *rate-based*
@@ -147,12 +147,12 @@ class MonitorRegistry {
   void reset();
 
  private:
-  /// Dispatch bucket of one watched category: monitors keyed by interned
+  /// Dispatch bucket of one watched category: monitors indexed by interned
   /// subject ID, plus the wildcard (any-subject) list. A monitor with a
   /// wildcard subscription on a category is never also entered in that
   /// category's subject buckets (it would observe the same record twice).
   struct CategoryBucket {
-    std::unordered_map<sim::TraceId, std::vector<Monitor*>> by_subject;
+    std::vector<std::vector<Monitor*>> by_subject;
     std::vector<Monitor*> wildcard;
   };
 
@@ -165,6 +165,10 @@ class MonitorRegistry {
   };
 
   void attach(Monitor& monitor);
+  /// The bucket of `category`; its first use subscribes the trace listener
+  /// that routes the category's records into it.
+  CategoryBucket& bucket_of(std::string_view category);
+  void route(const CategoryBucket& bucket, const sim::TraceEvent& rec);
   void handle(const Violation& v);
   /// Pull cumulative observations of `contract`'s monitors into health_.
   void sync_observations(const std::string& contract, const ContractCtx& ctx);
@@ -177,6 +181,8 @@ class MonitorRegistry {
 
   sim::Trace& trace_;
   std::vector<std::unique_ptr<Monitor>> monitors_;
+  /// Watched categories; node-based, so the listeners can hold bucket
+  /// references.
   std::unordered_map<sim::TraceId, CategoryBucket> index_;
   std::map<std::string, ContractCtx, std::less<>> contracts_;
   HealthReport health_;

@@ -1,5 +1,6 @@
 #include "sim/kernel.hpp"
 
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -47,7 +48,9 @@ void Kernel::push_occurrence(std::uint32_t slot, Time when,
   const std::uint64_t when_bucket =
       static_cast<std::uint64_t>(when) >> kWheelShift;
   if (when_bucket != now_bucket && when_bucket - now_bucket < kWheelBuckets) {
-    wheel_[when_bucket & (kWheelBuckets - 1)].push_back(item);
+    const std::size_t index = when_bucket & (kWheelBuckets - 1);
+    wheel_[index].push_back(item);
+    wheel_occupied_[index / 64] |= std::uint64_t{1} << (index % 64);
     ++wheel_count_;
     ++wheel_scheduled_;
     if (when < wheel_min_) wheel_min_ = when;
@@ -68,6 +71,7 @@ void Kernel::flush_wheel(Time limit) {
     wheel_flushed_ += bucket.size();
     for (const HeapItem& item : bucket) queue_.push(item);
     bucket.clear();
+    wheel_occupied_[index / 64] &= ~(std::uint64_t{1} << (index % 64));
     recompute_wheel_min(index);
   }
 }
@@ -76,17 +80,28 @@ void Kernel::recompute_wheel_min(std::size_t drained_index) {
   wheel_min_ = kForever;
   if (wheel_count_ == 0) return;
   // Live wheel entries all lie within one horizon window after now, so the
-  // circular walk from the drained bucket visits buckets in increasing time
-  // order; the first occupied one contains the minimum.
-  for (std::size_t step = 1; step <= kWheelBuckets; ++step) {
-    const std::vector<HeapItem>& bucket =
-        wheel_[(drained_index + step) & (kWheelBuckets - 1)];
-    if (bucket.empty()) continue;
-    for (const HeapItem& item : bucket) {
-      if (item.when < wheel_min_) wheel_min_ = item.when;
-    }
-    return;
+  // circular order from the drained bucket is increasing time order; the
+  // first occupied bucket after it contains the minimum.
+  for (const HeapItem& item : wheel_[next_occupied_bucket(drained_index)]) {
+    if (item.when < wheel_min_) wheel_min_ = item.when;
   }
+}
+
+std::size_t Kernel::next_occupied_bucket(std::size_t index) const {
+  const std::size_t start = (index + 1) & (kWheelBuckets - 1);
+  std::size_t word = start / 64;
+  // The first word is masked below `start`; its low bits come round again
+  // last, after the other words, as the buckets that wrap past 255.
+  std::uint64_t bits =
+      wheel_occupied_[word] & (~std::uint64_t{0} << (start % 64));
+  for (std::size_t step = 0; step <= kWheelWords; ++step) {
+    if (bits != 0) {
+      return word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+    }
+    word = (word + 1) % kWheelWords;
+    bits = wheel_occupied_[word];
+  }
+  throw std::logic_error("Kernel: wheel count says occupied, bitmap empty");
 }
 
 EventHandle Kernel::schedule_at(Time when, Action action, EventOrder order) {

@@ -19,7 +19,9 @@
 //    wheel horizon or due in the current bucket go straight to the heap —
 //    the wheel only defers *when* a key enters the heap, never changes the
 //    (time, priority, sequence) pop order, so event ordering is bit-exact
-//    with and without it.
+//    with and without it. A 256-bit occupancy bitmap beside the buckets
+//    finds the next occupied bucket in a few count-trailing-zeros steps, so
+//    sparse workloads do not walk empty buckets.
 //  * Periodic re-arm reuses the pooled action in place: no per-occurrence
 //    closure, shared_ptr hop, or allocation.
 //
@@ -186,7 +188,11 @@ class Kernel {
   std::priority_queue<HeapItem, std::vector<HeapItem>, Later> queue_;
   std::vector<Slot> pool_;
   std::vector<std::uint32_t> free_slots_;
+  static constexpr std::size_t kWheelWords = kWheelBuckets / 64;
+
   std::array<std::vector<HeapItem>, kWheelBuckets> wheel_;
+  /// Bit b of word b / 64 is set iff bucket b holds entries.
+  std::array<std::uint64_t, kWheelWords> wheel_occupied_{};
   std::uint64_t wheel_count_ = 0;
   Time wheel_min_ = kForever;  ///< Earliest `when` parked in the wheel.
 
@@ -215,6 +221,9 @@ class Kernel {
   void flush_wheel(Time limit);
   /// Re-derive wheel_min_ after draining the bucket at `drained_index`.
   void recompute_wheel_min(std::size_t drained_index);
+  /// First occupied bucket circularly after `index`; the wheel must hold
+  /// entries.
+  [[nodiscard]] std::size_t next_occupied_bucket(std::size_t index) const;
 };
 
 }  // namespace orte::sim

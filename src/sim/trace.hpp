@@ -3,21 +3,24 @@
 // queries when retention is on.
 //
 // Category and subject strings are interned into dense integer TraceIds at
-// first sight, so the hot path is allocation-free and O(1): emit() resolves
-// both IDs with one transparent hash lookup each (no std::string
-// construction), bumps a flat per-category vector and a single
-// (category, subject)-keyed hash cell, and only builds a TraceRecord when
-// somebody observes the stream (listeners or retention). Records carry the
-// IDs alongside the strings so downstream consumers (rv::MonitorRegistry,
-// isolation::ContainmentMonitor) route and compare integers, never strings.
-// IDs are stable for the lifetime of the Trace — clear() resets counts and
-// records but keeps the intern tables.
+// first sight, so the hot path is allocation-free and hash-light: emit()
+// resolves both IDs with one transparent hash lookup each (no std::string
+// construction) and then works on one dense per-category row — its emission
+// count, a count per subject ID, and the listeners that observe the
+// category. Listeners subscribe to one category or to all of them; an emit
+// calls only its category's listeners and the all-category ones, in
+// subscription order, with a TraceEvent that carries the IDs (names are
+// recoverable through category_name / subject_name). A TraceRecord with
+// the name strings is built only when retention is on. IDs are stable for
+// the lifetime of the Trace — clear() resets counts and records but keeps
+// the intern tables and the subscriptions.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -61,56 +64,47 @@ struct TraceEvent {
 
 class Trace {
  public:
-  using Listener = std::function<void(const TraceRecord&)>;
   using IdListener = std::function<void(const TraceEvent&)>;
 
   void enable_retention(bool on) { retain_ = on; }
 
   void emit(Time when, std::string_view category, std::string_view subject,
             std::int64_t value = 0, std::string_view detail = {}) {
-    const TraceId cat = categories_.intern(category);
+    const TraceId cat = intern_category(category);
     const TraceId subj = subjects_.intern(subject);
-    bump(cat, subj);
-    // ID listeners run first, before any record is materialized: when every
-    // observer routes on TraceIds (the rv-bound configuration) and retention
-    // is off, an emit costs two intern lookups, the count bumps, and this
-    // loop — no string is assigned or copied anywhere.
-    if (!id_listeners_.empty()) {
+    bump(rows_[cat], subj);
+    // Listeners run before any record is materialized. They may emit (and
+    // so grow rows_), hence the index loop that re-reads the row.
+    if (!rows_[cat].listeners.empty()) {
       const TraceEvent ev{when, cat, subj, value, detail};
-      for (const auto& l : id_listeners_) l(ev);
+      for (std::size_t i = 0; i < rows_[cat].listeners.size(); ++i) {
+        listeners_[rows_[cat].listeners[i]](ev);
+      }
     }
     if (!retain_) {
       records_complete_ = false;
-      if (listeners_.empty()) return;  // no string observer: done
-      // Listener-only path: notify through a reused scratch record — the
-      // string assignments reuse capacity, so a warmed-up monitored run
-      // emits with zero allocations.
-      scratch_.when = when;
-      scratch_.category.assign(category);
-      scratch_.subject.assign(subject);
-      scratch_.value = value;
-      scratch_.detail.assign(detail);
-      scratch_.category_id = cat;
-      scratch_.subject_id = subj;
-      for (const auto& l : listeners_) l(scratch_);
       return;
     }
-    TraceRecord rec{when,  std::string(category), std::string(subject),
-                    value, std::string(detail),   cat,
-                    subj};
-    for (const auto& l : listeners_) l(rec);
-    records_.push_back(std::move(rec));
+    records_.push_back(TraceRecord{when, std::string(category),
+                                   std::string(subject), value,
+                                   std::string(detail), cat, subj});
   }
 
-  void subscribe(Listener listener) {
-    listeners_.push_back(std::move(listener));
-  }
-
-  /// Subscribe an ID-only listener: it receives a TraceEvent (interned IDs,
-  /// no name strings) for every emission, before the string listeners run.
-  /// This is the fan-out fast path for routers that compare TraceIds.
+  /// Subscribe a listener to every emission.
   void subscribe_ids(IdListener listener) {
-    id_listeners_.push_back(std::move(listener));
+    const auto index = add_listener(std::move(listener));
+    all_listeners_.push_back(index);
+    for (Row& row : rows_) row.listeners.push_back(index);
+  }
+
+  /// Subscribe a listener to the emissions of one interned category; other
+  /// categories never reach it. Throws std::out_of_range for an ID this
+  /// Trace has not interned.
+  void subscribe_ids(TraceId category, IdListener listener) {
+    if (category >= rows_.size()) {
+      throw std::out_of_range("Trace::subscribe_ids: unknown category");
+    }
+    rows_[category].listeners.push_back(add_listener(std::move(listener)));
   }
 
   [[nodiscard]] const std::vector<TraceRecord>& records() const {
@@ -122,7 +116,9 @@ class Trace {
   /// Intern a name ahead of its first emission (observers pre-register the
   /// IDs they will route on, e.g. rv::MonitorRegistry at attach() time).
   TraceId intern_category(std::string_view category) {
-    return categories_.intern(category);
+    const TraceId id = categories_.intern(category);
+    if (id == rows_.size()) rows_.push_back(Row{.listeners = all_listeners_});
+    return id;
   }
   TraceId intern_subject(std::string_view subject) {
     return subjects_.intern(subject);
@@ -158,31 +154,24 @@ class Trace {
   }
 
   [[nodiscard]] std::size_t count(TraceId category) const {
-    return category < category_counts_.size() ? category_counts_[category]
-                                              : 0;
+    return category < rows_.size() ? rows_[category].count : 0;
   }
 
   [[nodiscard]] std::size_t count(TraceId category, TraceId subject) const {
-    if (category == kNoTraceId || subject == kNoTraceId) return 0;
-    auto it = pair_counts_.find(pair_key(category, subject));
-    return it == pair_counts_.end() ? 0 : it->second;
+    if (category >= rows_.size()) return 0;
+    const std::vector<std::size_t>& by_subject = rows_[category].by_subject;
+    return subject < by_subject.size() ? by_subject[subject] : 0;
   }
 
   /// Every (subject, count) pair recorded under `category`, in subject
   /// order. Incremental consumers (isolation::ContainmentMonitor, rv
   /// monitors) classify from this index instead of re-scanning records.
-  /// O(subjects-in-category): each category keeps its own bucket of seen
-  /// subject IDs, so the query never walks the whole (category, subject)
-  /// map.
+  /// O(subjects-in-category): each row lists the subjects it has counted.
   [[nodiscard]] std::vector<std::pair<std::string, std::size_t>>
   subject_counts(std::string_view category) const {
     std::vector<std::pair<std::string, std::size_t>> out;
-    const TraceId cat = categories_.find(category);
-    if (cat == kNoTraceId || cat >= category_subjects_.size()) return out;
-    out.reserve(category_subjects_[cat].size());
-    for (const TraceId subj : category_subjects_[cat]) {
-      out.emplace_back(std::string(subjects_.name(subj)),
-                       pair_counts_.at(pair_key(cat, subj)));
+    for (const auto& [subj, n] : subject_counts_by_id(category_id(category))) {
+      out.emplace_back(std::string(subjects_.name(subj)), n);
     }
     std::sort(out.begin(), out.end());
     return out;
@@ -194,12 +183,11 @@ class Trace {
   [[nodiscard]] std::vector<std::pair<TraceId, std::size_t>>
   subject_counts_by_id(TraceId category) const {
     std::vector<std::pair<TraceId, std::size_t>> out;
-    if (category == kNoTraceId || category >= category_subjects_.size()) {
-      return out;
-    }
-    out.reserve(category_subjects_[category].size());
-    for (const TraceId subj : category_subjects_[category]) {
-      out.emplace_back(subj, pair_counts_.at(pair_key(category, subj)));
+    if (category >= rows_.size()) return out;
+    const Row& row = rows_[category];
+    out.reserve(row.subjects.size());
+    for (const TraceId subj : row.subjects) {
+      out.emplace_back(subj, row.by_subject[subj]);
     }
     return out;
   }
@@ -214,9 +202,11 @@ class Trace {
     // with a string-keyed recount of them.
     assert(!records_complete_ || counts_match_records());
     records_.clear();
-    category_counts_.assign(category_counts_.size(), 0);
-    pair_counts_.clear();
-    for (auto& bucket : category_subjects_) bucket.clear();
+    for (Row& row : rows_) {
+      row.count = 0;
+      for (const TraceId subj : row.subjects) row.by_subject[subj] = 0;
+      row.subjects.clear();
+    }
     records_complete_ = true;
   }
 
@@ -227,32 +217,40 @@ class Trace {
   /// records_complete() first. Used by the debug assertion in clear() and
   /// by the index-drift regression tests.
   [[nodiscard]] bool counts_match_records() const {
-    std::unordered_map<std::uint64_t, std::size_t> pair_recount;
-    std::vector<std::size_t> cat_recount(category_counts_.size(), 0);
+    std::vector<std::vector<std::size_t>> recount(rows_.size());
     for (const auto& rec : records_) {
       const TraceId cat = categories_.find(rec.category);
       const TraceId subj = subjects_.find(rec.subject);
       if (cat == kNoTraceId || subj == kNoTraceId) return false;
       if (cat != rec.category_id || subj != rec.subject_id) return false;
-      if (cat >= cat_recount.size()) return false;
-      ++cat_recount[cat];
-      ++pair_recount[pair_key(cat, subj)];
+      if (cat >= recount.size()) return false;
+      if (subj >= recount[cat].size()) recount[cat].resize(subj + 1, 0);
+      ++recount[cat][subj];
     }
-    if (cat_recount != category_counts_ || pair_recount != pair_counts_) {
-      return false;
-    }
-    // The per-category subject buckets must mirror the pair index exactly:
-    // every bucketed subject has a pair cell, and nothing is missing.
-    std::size_t bucket_entries = 0;
-    for (TraceId cat = 0; cat < category_subjects_.size(); ++cat) {
-      for (const TraceId subj : category_subjects_[cat]) {
-        ++bucket_entries;
-        if (pair_counts_.find(pair_key(cat, subj)) == pair_counts_.end()) {
+    for (TraceId cat = 0; cat < rows_.size(); ++cat) {
+      const Row& row = rows_[cat];
+      std::size_t total = 0;
+      std::size_t counted_subjects = 0;
+      const std::size_t width =
+          std::max(row.by_subject.size(), recount[cat].size());
+      for (TraceId subj = 0; subj < width; ++subj) {
+        const std::size_t n = count(cat, subj);
+        if (n != (subj < recount[cat].size() ? recount[cat][subj] : 0)) {
+          return false;
+        }
+        total += n;
+        counted_subjects += n != 0 ? 1 : 0;
+      }
+      if (total != row.count) return false;
+      // The row's subject list names exactly its counted subjects, once.
+      if (row.subjects.size() != counted_subjects) return false;
+      for (const TraceId subj : row.subjects) {
+        if (subj >= row.by_subject.size() || row.by_subject[subj] == 0) {
           return false;
         }
       }
     }
-    return bucket_entries == pair_counts_.size();
+    return true;
   }
 
   /// True while the retained records cover every emission since
@@ -292,36 +290,37 @@ class Trace {
     std::vector<std::string_view> names_;  ///< Views into ids_ keys.
   };
 
-  static constexpr std::uint64_t pair_key(TraceId category, TraceId subject) {
-    return (static_cast<std::uint64_t>(category) << 32) | subject;
-  }
+  /// Everything one category ID owns, indexed by that ID in rows_.
+  struct Row {
+    std::size_t count = 0;               ///< Emissions in the category.
+    std::vector<std::size_t> by_subject; ///< Emissions per subject ID.
+    /// Subjects with a nonzero count, in first-bump order: the iteration
+    /// set of subject_counts().
+    std::vector<TraceId> subjects;
+    /// Indexes into listeners_ (all-category ones included), ascending, so
+    /// they run in subscription order.
+    std::vector<std::uint32_t> listeners;
+  };
 
-  // Single-lookup bump per index (operator[] value-initializes on miss) —
-  // no find-then-emplace double walk, no key strings. A pair's first bump
-  // also files the subject into the category's subject bucket, keeping the
-  // subject_counts() queries O(subjects-in-category).
-  void bump(TraceId category, TraceId subject) {
-    if (category >= category_counts_.size()) {
-      category_counts_.resize(category + 1, 0);
-      category_subjects_.resize(category + 1);
+  static void bump(Row& row, TraceId subject) {
+    ++row.count;
+    if (subject >= row.by_subject.size()) {
+      row.by_subject.resize(subject + 1, 0);
     }
-    ++category_counts_[category];
-    auto& n = pair_counts_[pair_key(category, subject)];
-    if (n == 0) category_subjects_[category].push_back(subject);
-    ++n;
+    if (row.by_subject[subject]++ == 0) row.subjects.push_back(subject);
   }
 
-  std::vector<Listener> listeners_;
-  std::vector<IdListener> id_listeners_;
+  std::uint32_t add_listener(IdListener listener) {
+    listeners_.push_back(std::move(listener));
+    return static_cast<std::uint32_t>(listeners_.size() - 1);
+  }
+
+  std::vector<IdListener> listeners_;  ///< In subscription order.
+  std::vector<std::uint32_t> all_listeners_;  ///< The all-category ones.
+  std::vector<Row> rows_;                      ///< Indexed by category ID.
   std::vector<TraceRecord> records_;
-  TraceRecord scratch_;  ///< Reused for listener-only (no-retention) emits.
   Interner categories_;
   Interner subjects_;
-  std::vector<std::size_t> category_counts_;  ///< Indexed by category ID.
-  /// Subject IDs seen per category (first-bump order) — the iteration set
-  /// of subject_counts(); pair_counts_ keeps the numbers.
-  std::vector<std::vector<TraceId>> category_subjects_;
-  std::unordered_map<std::uint64_t, std::size_t> pair_counts_;
   bool retain_ = true;
   bool records_complete_ = true;
 };

@@ -112,6 +112,16 @@ class Pass {
   // --- V1/V2/V5: every name a type mentions must resolve; accesses and
   // triggers must agree with port kind and direction; timing must be sane.
   void check_type_references() {
+    for (const auto& [iname, iface] : model_.interfaces()) {
+      for (const auto& e : iface.elements) {
+        if (e.bit_length == 0 || e.bit_length > 64) {
+          out_.add("V5", Severity::kError, dot(iname, e.name),
+                   "element bit_length " + std::to_string(e.bit_length) +
+                       " is outside 1..64",
+                   "set the element's bit_length to 1..64");
+        }
+      }
+    }
     for (const auto& [tname, type] : model_.types()) {
       for (const auto& p : type.ports) {
         if (model_.find_interface(p.interface) == nullptr) {
@@ -500,9 +510,9 @@ class Pass {
     }
   }
 
-  // --- V1/V2/V5 (plan level): the bus has a bit time, every instance
-  // deployed, partitions resolve, client-server connectors stay on one ECU,
-  // per-ECU task budget holds.
+  // --- V1/V2/V5 (plan level): the bus has a bit time and a sane cycle,
+  // every instance deployed on a named ECU, partitions resolve,
+  // client-server connectors stay on one ECU, per-ECU task budget holds.
   void check_deployment() {
     if (plan_->bus_bitrate() <= 0) {
       const std::string bus =
@@ -512,6 +522,7 @@ class Pass {
                    std::to_string(plan_->bus_bitrate()) + " bps",
                "set plan." + bus + ".bitrate_bps to the bus's bit rate");
     }
+    if (plan_->bus == vfb::BusKind::kFlexRay) check_flexray_timing();
     for (const auto& inst : model_.instances()) {
       const auto it = plan_->instances.find(inst.name);
       if (it == plan_->instances.end()) {
@@ -537,6 +548,11 @@ class Pass {
       check_budget(inst.name, dep);
     }
     for (const auto& [name, dep] : plan_->instances) {
+      if (dep.ecu.empty()) {
+        out_.add("V1", Severity::kError, name,
+                 "instance " + name + " is deployed on an unnamed ECU",
+                 "plan.instances[\"" + name + "\"].ecu = \"<ECU name>\"");
+      }
       if (model_.find_instance(name) == nullptr) {
         out_.add("V1", Severity::kWarning, name,
                  "deployment for unknown instance " + name);
@@ -560,6 +576,23 @@ class Pass {
                      c.from_instance + " -> " + c.to_instance,
                  "deploy client and server on one ECU");
       }
+    }
+  }
+
+  void check_flexray_timing() {
+    const auto& fr = plan_->flexray;
+    if (fr.network_idle < 0) {
+      out_.add("V5", Severity::kError, "plan.flexray.network_idle",
+               "FlexRay network idle time must be >= 0, got " +
+                   std::to_string(fr.network_idle) + " ns",
+               "set plan.flexray.network_idle to 0 or more");
+    }
+    if (fr.minislots > 0 && fr.minislot_len <= 0) {
+      out_.add("V5", Severity::kError, "plan.flexray.minislot_len",
+               "FlexRay minislot length must be positive, got " +
+                   std::to_string(fr.minislot_len) + " ns",
+               "set plan.flexray.minislot_len, or minislots = 0 for no "
+               "dynamic segment");
     }
   }
 

@@ -18,7 +18,11 @@ class Elaborator {
 
   Elaboration run() {
     std::set<std::string> names;
-    for (const auto& [inst, dep] : plan_.instances) names.insert(dep.ecu);
+    for (const auto& [inst, dep] : plan_.instances) {
+      // Routes read an empty ECU name as "undeployed".
+      if (dep.ecu.empty()) out_.gaps.push_back("unnamed ECU for " + inst);
+      names.insert(dep.ecu);
+    }
     out_.ecus.assign(names.begin(), names.end());
     for (const auto& inst : model_.instances()) {
       if (plan_.instances.find(inst.name) == plan_.instances.end()) {
@@ -261,10 +265,15 @@ class Elaborator {
       std::vector<analysis::PackSignal> pack_in;
       pack_in.reserve(group.size());
       for (const std::size_t si : group) {
+        const std::size_t bits = out_.signals[si].element->bit_length;
+        if (bits == 0 || bits > 64) {
+          out_.gaps.push_back("signal " + out_.signals[si].name +
+                              " does not fit a frame");
+          continue;
+        }
         // pack_signals only needs a positive period for utilization math;
         // event-produced signals (kForever) use a placeholder.
-        pack_in.push_back({out_.signals[si].name,
-                           out_.signals[si].element->bit_length,
+        pack_in.push_back({out_.signals[si].name, bits,
                            key.second == sim::kForever ? sim::seconds(1)
                                                        : key.second});
       }

@@ -18,9 +18,9 @@
 //
 // elaborate() is pure and total: it never throws on an invalid model (the
 // validator runs on those). What the generator could not instantiate —
-// undeployed instances, cross-ECU client-server links, unresolvable server
-// calls, too many periodic tasks, a non-positive bus bitrate — is skipped
-// and named in `gaps`; validation rules V1–V5 report each of these first, so
+// undeployed instances, an unnamed ECU, cross-ECU client-server links,
+// unresolvable server calls, too many periodic tasks, a non-positive bus
+// bitrate, a signal wider than a frame — is skipped and named in `gaps`; validation rules V1–V5 report each of these first, so
 // a non-empty `gaps` after a clean validation is a validator defect.
 //
 // The elaboration borrows the model's Runnables, Connectors and

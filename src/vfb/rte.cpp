@@ -61,17 +61,30 @@ Rte::SenderId Rte::add_sender(std::string key) {
   return static_cast<SenderId>(senders_.size() - 1);
 }
 
+std::uint32_t Rte::checked(std::uint32_t id, std::size_t size,
+                           const char* what) const {
+  if (id >= size) {
+    throw std::out_of_range(std::string("Rte: ") + what + " ID " +
+                            std::to_string(id) + " is not on ECU " +
+                            ecu_name_);
+  }
+  return id;
+}
+
 void Rte::add_route(SenderId sender, SlotId slot) {
-  senders_[sender].local.push_back(slot);
+  senders_[checked(sender, senders_.size(), "sender")].local.push_back(
+      checked(slot, slots_.size(), "slot"));
 }
 
 void Rte::add_route(SenderId sender, bsw::Com& com, std::string signal) {
-  senders_[sender].com = &com;
-  senders_[sender].signal = std::move(signal);
+  Sender& s = senders_[checked(sender, senders_.size(), "sender")];
+  s.com = &com;
+  s.signal = std::move(signal);
 }
 
 void Rte::on_update(SlotId slot, std::function<void()> cb) {
-  slots_[slot].on_update.push_back(std::move(cb));
+  slots_[checked(slot, slots_.size(), "slot")].on_update.push_back(
+      std::move(cb));
 }
 
 Rte::BindingId Rte::bind(std::string instance, const Runnable& runnable,
@@ -87,7 +100,13 @@ Rte::BindingId Rte::bind(std::string instance, const Runnable& runnable,
     b.first.push_back(static_cast<std::uint32_t>(
         access_of(b, accesses[i].port, accesses[i].element, "")));
     // Reads before the first capture see the slot's init.
-    b.snapshot.push_back(is_write(accesses[i].kind) ? 0 : slots_[ids[i]].value);
+    if (is_write(accesses[i].kind)) {
+      checked(ids[i], senders_.size(), "sender");
+      b.snapshot.push_back(0);
+    } else {
+      const SlotId slot = checked(ids[i], slots_.size(), "slot");
+      b.snapshot.push_back(slots_[slot].value);
+    }
   }
   b.ids = std::move(ids);
   b.outbox.resize(accesses.size());
@@ -96,7 +115,7 @@ Rte::BindingId Rte::bind(std::string instance, const Runnable& runnable,
 }
 
 void Rte::deliver(SlotId id, std::uint64_t value) {
-  Slot& slot = slots_[id];
+  Slot& slot = slots_[checked(id, slots_.size(), "slot")];
   const DataElement& element = *slot.element;
   if (element.queued) {
     // Bounded AUTOSAR-style queue; slot.value keeps the init (queued slots

@@ -75,6 +75,8 @@ class Rte {
                          std::string_view element);
 
   // --- Wiring (called by the System generator) ------------------------------
+  // Every slot and sender ID passed in below (and to deliver) must come from
+  // this Rte's add_slot / add_sender; others throw std::out_of_range.
   /// A receiver slot under `key` ("rte.deliver" subject) holding
   /// `element.init` until the first delivery. Queued elements keep a queue
   /// bounded by element.queue_length (0 = unbounded) with element.overflow
@@ -166,6 +168,10 @@ class Rte {
     std::vector<std::optional<std::uint64_t>> outbox;  ///< Implicit writes.
   };
 
+  /// `id` if it is below `size` (the ID table of `what`); throws
+  /// std::out_of_range otherwise.
+  std::uint32_t checked(std::uint32_t id, std::size_t size,
+                        const char* what) const;
   /// Index of the first declared access of (port, element); throws for an
   /// undeclared one.
   std::size_t access_of(const Binding& b, std::string_view port,

@@ -318,17 +318,16 @@ void System::build_alive_supervision() {
   // Checkpoint feed: a supervised key indicates liveness whenever its RTE
   // publishes under it — including quarantined publishes (a sanctioned but
   // alive producer keeps its heartbeat; quarantine is containment, not
-  // death). Routed on interned IDs, so unsupervised traffic costs one map
-  // miss.
-  const sim::TraceId write_id = trace_.intern_category("rte.write");
-  const sim::TraceId qdrop_id = trace_.intern_category("rte.quarantine_drop");
-  trace_.subscribe_ids(
-      [this, write_id, qdrop_id](const sim::TraceEvent& ev) {
-        if (ev.category_id != write_id && ev.category_id != qdrop_id) return;
-        const auto it = checkpoint_routes_.find(ev.subject_id);
-        if (it == checkpoint_routes_.end()) return;
-        it->second->checkpoint(trace_.subject_name(ev.subject_id));
-      });
+  // death). It listens to those two categories only and routes on interned
+  // IDs, so unsupervised writes cost one map miss.
+  const auto checkpoint = [this](const sim::TraceEvent& ev) {
+    const auto it = checkpoint_routes_.find(ev.subject_id);
+    if (it == checkpoint_routes_.end()) return;
+    it->second->checkpoint(trace_.subject_name(ev.subject_id));
+  };
+  for (const char* category : {"rte.write", "rte.quarantine_drop"}) {
+    trace_.subscribe_ids(trace_.intern_category(category), checkpoint);
+  }
 }
 
 void System::quarantine(const std::string& instance) {

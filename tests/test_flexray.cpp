@@ -216,9 +216,10 @@ TEST(FlexRay, OversizedStaticPayloadRejected) {
 
 // --- Idle-slot skipping ------------------------------------------------------
 
-TEST(FlexRay, IdleBusCostsAtMostTwoEventsPerCycle) {
-  // An idle slot is free: per cycle the kernel runs only the cycle start
-  // (fr.cycle) and the dynamic segment, and cycles() still counts them all.
+TEST(FlexRay, IdleBusCostsOneEventPerCycle) {
+  // An idle slot and an empty dynamic segment are free: per cycle the
+  // kernel runs only the cycle start (fr.cycle), and cycles() still counts
+  // them all.
   Fixture f;
   auto cfg = small_config();
   cfg.static_slots = 64;
@@ -227,7 +228,7 @@ TEST(FlexRay, IdleBusCostsAtMostTwoEventsPerCycle) {
   bus.start();
   f.kernel.run_until(100 * bus.cycle_len() - 1);
   EXPECT_EQ(bus.cycles(), 100u);
-  EXPECT_LE(f.kernel.events_executed(), 2 * bus.cycles());
+  EXPECT_LE(f.kernel.events_executed(), bus.cycles());
 }
 
 TEST(FlexRay, OneStaticFrameCostsConstantEventsWhateverTheSlotCount) {
@@ -260,8 +261,7 @@ TEST(FlexRay, OneStaticFrameCostsConstantEventsWhateverTheSlotCount) {
 TEST(FlexRay, AdjacentFramesShareTheBoundaryEvent) {
   // Slot 2 is armed. Slot 3 is written when slot 2's frame arrives (the
   // instant slot 3 starts) and slot 4 when slot 3's arrives: each runs
-  // inside the previous slot's delivery, and so does the dynamic segment
-  // after slot 4 (its armed event is cancelled).
+  // inside the previous slot's delivery.
   Fixture f;
   FlexRayBus bus(f.kernel, f.trace, small_config());
   auto& tx = bus.attach();
@@ -283,9 +283,9 @@ TEST(FlexRay, AdjacentFramesShareTheBoundaryEvent) {
                         {cycle + 2 * slot, 2},
                         {cycle + 3 * slot, 3},
                         {cycle + 4 * slot, 4}}));
-  // Cycle 0's dynamic segment, cycle 1's start, the armed slot 2 and one
-  // delivery per frame.
-  EXPECT_EQ(f.kernel.events_executed() - before, 6u);
+  // Cycle 1's start, the armed slot 2 and one delivery per frame; no
+  // dynamic frame is queued, so no segment runs.
+  EXPECT_EQ(f.kernel.events_executed() - before, 5u);
 }
 
 TEST(FlexRay, WriteAtExactSlotStartFromHardwareEventMakesTheSlot) {
@@ -311,6 +311,109 @@ TEST(FlexRay, WriteAtExactSlotStartFromHardwareEventMakesTheSlot) {
     const Time expected = slot3 + bus.static_slot_len() + wait;
     EXPECT_EQ(deliveries[0], expected);
   }
+}
+
+// --- Dynamic segment armed on demand -----------------------------------------
+
+/// One dynamic frame (id 5, 4 bytes: 5 minislots = 10 us) queued at `at`
+/// from an event of class `order`; returns its delivery instants.
+std::vector<Time> dynamic_frame_deliveries(Time at, EventOrder order,
+                                           Duration* segment_start,
+                                           Duration* cycle) {
+  Fixture f;
+  FlexRayBus bus(f.kernel, f.trace, small_config());
+  auto& tx = bus.attach();
+  auto& rx = bus.attach();
+  std::vector<Time> deliveries;
+  rx.on_receive([&](const Frame&) { deliveries.push_back(f.kernel.now()); });
+  f.kernel.schedule_at(at, [&] { tx.send(make_frame(5, 4)); }, order);
+  bus.start();
+  f.kernel.run_until(4 * bus.cycle_len());
+  *segment_start = 4 * bus.static_slot_len();
+  *cycle = bus.cycle_len();
+  return deliveries;
+}
+
+TEST(FlexRay, DynamicFrameQueuedBeforeTheSegmentStartGoesThisCycle) {
+  Duration segment = 0;
+  Duration cycle = 0;
+  const auto deliveries = dynamic_frame_deliveries(
+      microseconds(10), EventOrder::kDefault, &segment, &cycle);
+  EXPECT_EQ(deliveries, (std::vector<Time>{segment + microseconds(10)}));
+}
+
+TEST(FlexRay, DynamicFrameQueuedAfterTheSegmentStartWaitsOneCycle) {
+  Duration segment = 0;
+  Duration cycle = 0;
+  const auto deliveries = dynamic_frame_deliveries(
+      microseconds(60), EventOrder::kDefault, &segment, &cycle);
+  ASSERT_GT(microseconds(60), segment);
+  EXPECT_EQ(deliveries,
+            (std::vector<Time>{cycle + segment + microseconds(10)}));
+}
+
+TEST(FlexRay, DynamicFrameAtTheExactSegmentStartFollowsTheSlotRule) {
+  // As for a static slot: a hardware-ordered caller at the segment's start
+  // instant makes this cycle, a software-ordered one has passed it.
+  const Time start = 4 * FlexRayBus::slot_length(small_config());
+  for (const EventOrder order :
+       {EventOrder::kHardware, EventOrder::kSoftware}) {
+    Duration segment = 0;
+    Duration cycle = 0;
+    const auto deliveries =
+        dynamic_frame_deliveries(start, order, &segment, &cycle);
+    ASSERT_EQ(segment, start);
+    const Duration wait = order == EventOrder::kHardware ? 0 : cycle;
+    EXPECT_EQ(deliveries,
+              (std::vector<Time>{segment + wait + microseconds(10)}));
+  }
+}
+
+TEST(FlexRay, DynamicSegmentRunsFromAFullLastStaticSlot) {
+  // The last static slot (4) carries a frame, so its delivery at the
+  // segment start runs the segment. The dynamic frame is queued either
+  // before slot 4 starts (its armed segment event is cancelled) or while
+  // slot 4's frame is on the wire (no segment event is armed at all).
+  for (const Time at : {microseconds(10), microseconds(50)}) {
+    Fixture f;
+    FlexRayBus bus(f.kernel, f.trace, small_config());
+    auto& tx = bus.attach();
+    auto& rx = bus.attach();
+    bus.assign_static_slot(4, tx);
+    std::vector<std::pair<Time, std::uint32_t>> rx_log;
+    rx.on_receive([&](const Frame& fr) {
+      rx_log.emplace_back(f.kernel.now(), fr.id);
+    });
+    f.kernel.schedule_at(0, [&] { tx.send(make_frame(4, 8)); });
+    f.kernel.schedule_at(at, [&] { tx.send(make_frame(5, 4)); });
+    bus.start();
+    f.kernel.run_until(bus.cycle_len() - 1);
+    const Time slot4 = 3 * bus.static_slot_len();
+    const Time segment = 4 * bus.static_slot_len();
+    ASSERT_LT(slot4, microseconds(50));
+    EXPECT_EQ(rx_log, (std::vector<std::pair<Time, std::uint32_t>>{
+                          {segment, 4}, {segment + microseconds(10), 5}}));
+    // The segment cancels the cycle start begin_cycle armed; slot 4
+    // cancels the segment event armed before it started.
+    EXPECT_EQ(f.kernel.counters().cancelled, at < slot4 ? 2u : 1u);
+  }
+}
+
+TEST(FlexRay, InvalidTimingDomainRejected) {
+  Fixture f;
+  auto idle = small_config();
+  idle.network_idle = -microseconds(500);
+  EXPECT_THROW(FlexRayBus(f.kernel, f.trace, idle), std::invalid_argument);
+  for (const Duration len : {Duration{0}, -microseconds(2)}) {
+    auto cfg = small_config();
+    cfg.minislot_len = len;
+    EXPECT_THROW(FlexRayBus(f.kernel, f.trace, cfg), std::invalid_argument);
+    cfg.minislots = 0;  // no dynamic segment: its minislot length is unused
+    EXPECT_NO_THROW(FlexRayBus(f.kernel, f.trace, cfg));
+  }
+  auto no_idle = small_config();
+  no_idle.network_idle = 0;
+  EXPECT_NO_THROW(FlexRayBus(f.kernel, f.trace, no_idle));
 }
 
 // --- Equivalence with a bus that ticks every slot ----------------------------

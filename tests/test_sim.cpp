@@ -360,8 +360,8 @@ TEST(Trace, RetainsAndCounts) {
 TEST(Trace, ListenersSeeEveryEmit) {
   Trace t;
   int seen = 0;
-  t.subscribe([&](const TraceRecord& r) {
-    if (r.category == "hit") ++seen;
+  t.subscribe_ids([&](const TraceEvent& e) {
+    if (t.category_name(e.category_id) == "hit") ++seen;
   });
   t.emit(1, "hit", "a");
   t.emit(2, "miss", "b");
@@ -391,9 +391,9 @@ TEST(Trace, CountsWorkWithRetentionDisabled) {
 TEST(Trace, ListenersRunInSubscriptionOrder) {
   Trace t;
   std::vector<int> order;
-  t.subscribe([&](const TraceRecord&) { order.push_back(1); });
-  t.subscribe([&](const TraceRecord&) { order.push_back(2); });
-  t.subscribe([&](const TraceRecord&) { order.push_back(3); });
+  t.subscribe_ids([&](const TraceEvent&) { order.push_back(1); });
+  t.subscribe_ids([&](const TraceEvent&) { order.push_back(2); });
+  t.subscribe_ids([&](const TraceEvent&) { order.push_back(3); });
   t.emit(1, "cat", "s");
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
@@ -571,7 +571,26 @@ TEST(Trace, CountsMatchRecordsWhileRetentionIsComplete) {
 // the current kernel must reproduce the exact firing sequence, bit for bit.
 // If an intentional ordering change ever lands, regenerate the constant with
 // the PREVIOUS kernel and document the break.
-std::uint64_t golden_workload_hash(std::size_t* fired_count) {
+//
+// `GoldenShape` spreads the same mix over a time span. The compact shape
+// keeps everything within a few wheel buckets; the wide one scatters events
+// over 0-60 ms, so the wheel sees long runs of empty buckets, wraps past
+// bucket 255 several times, parks entries beyond its ~16.8 ms horizon in the
+// heap, and re-arms periodics from one bucket into another.
+struct GoldenShape {
+  Time span;           ///< One-shots at uniform instants in [0, span].
+  Time first_span;     ///< Periodic series start in [0, first_span].
+  Duration max_period; ///< Periodic periods in [1, max_period].
+  Duration follow_up;  ///< Delay of the chained follow-up events.
+  Time horizon;
+};
+constexpr GoldenShape kCompactShape{200000, 3000, 997, 37, 250000};
+constexpr GoldenShape kWideShape{milliseconds(60), milliseconds(20),
+                                 milliseconds(20), microseconds(700),
+                                 milliseconds(70)};
+
+std::uint64_t golden_workload_hash(std::size_t* fired_count,
+                                   const GoldenShape& shape) {
   Kernel k;
   Rng rng(0xC0FFEE);
   std::vector<std::pair<Time, int>> fired;
@@ -580,15 +599,15 @@ std::uint64_t golden_workload_hash(std::size_t* fired_count) {
                                 EventOrder::kDefault, EventOrder::kSoftware,
                                 EventOrder::kObserver};
   for (int i = 0; i < 400; ++i) {
-    const Time when = rng.uniform(0, 200000);
+    const Time when = rng.uniform(0, shape.span);
     const EventOrder ord = orders[rng.uniform(0, 4)];
     const int tag = i;
     handles.push_back(k.schedule_at(
         when,
-        [&k, &fired, &handles, tag] {
+        [&k, &fired, &handles, tag, follow_up = shape.follow_up] {
           fired.emplace_back(k.now(), tag);
           if (tag % 7 == 0) {
-            k.schedule_in(tag % 3 == 0 ? 0 : 37, [&k, &fired, tag] {
+            k.schedule_in(tag % 3 == 0 ? 0 : follow_up, [&k, &fired, tag] {
               fired.emplace_back(k.now(), 1000 + tag);
             });
           }
@@ -602,8 +621,8 @@ std::uint64_t golden_workload_hash(std::size_t* fired_count) {
   std::vector<int> pfires(40, 0);
   std::vector<EventHandle> ph(40);
   for (int p = 0; p < 40; ++p) {
-    const Time first = rng.uniform(0, 3000);
-    const Duration period = rng.uniform(1, 997);
+    const Time first = rng.uniform(0, shape.first_span);
+    const Duration period = rng.uniform(1, shape.max_period);
     const EventOrder ord = orders[rng.uniform(0, 4)];
     ph[p] = k.schedule_periodic(
         first, period,
@@ -615,7 +634,7 @@ std::uint64_t golden_workload_hash(std::size_t* fired_count) {
         ord);
   }
   for (std::size_t i = 0; i < handles.size(); i += 3) k.cancel(handles[i]);
-  k.run_until(250000);
+  k.run_until(shape.horizon);
   for (auto& h : handles) k.cancel(h);  // all stale by now: must be no-ops
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::uint64_t v) {
@@ -635,8 +654,13 @@ std::uint64_t golden_workload_hash(std::size_t* fired_count) {
 
 TEST(Kernel, GoldenEventOrderMatchesFlatHeapKernel) {
   std::size_t fired = 0;
-  EXPECT_EQ(golden_workload_hash(&fired), 0x56c289cc20f4bc5dull);
+  EXPECT_EQ(golden_workload_hash(&fired, kCompactShape),
+            0x56c289cc20f4bc5dull);
   EXPECT_EQ(fired, 770u);
+  // Recorded with the kernel whose wheel found the next occupied bucket by
+  // walking the buckets one by one (before the occupancy bitmap).
+  EXPECT_EQ(golden_workload_hash(&fired, kWideShape), 0xe00a882ffc804163ull);
+  EXPECT_EQ(fired, 597u);
 }
 
 TEST(Kernel, PassedReportsWhetherAnOrderClassIsBehindTheCurrentEvent) {
@@ -755,15 +779,65 @@ TEST(Kernel, PoolSlotsAreRecycledNotGrown) {
 
 // --- Trace ID-only listener fast path ----------------------------------------
 
-TEST(Trace, IdListenersRunBeforeStringListeners) {
+TEST(Trace, CategoryAndAllCategoryListenersRunInSubscriptionOrder) {
   Trace t;
+  const TraceId a = t.intern_category("cat.a");
   std::vector<std::string> seq;
-  t.subscribe([&](const TraceRecord&) { seq.push_back("string"); });
-  t.subscribe_ids([&](const TraceEvent&) { seq.push_back("id"); });
-  t.emit(1, "cat", "s");
-  ASSERT_EQ(seq.size(), 2u);
-  EXPECT_EQ(seq[0], "id");  // regardless of subscription order
-  EXPECT_EQ(seq[1], "string");
+  t.subscribe_ids([&](const TraceEvent&) { seq.push_back("all1"); });
+  t.subscribe_ids(a, [&](const TraceEvent&) { seq.push_back("a"); });
+  t.subscribe_ids([&](const TraceEvent&) { seq.push_back("all2"); });
+  t.emit(1, "cat.a", "s");
+  EXPECT_EQ(seq, (std::vector<std::string>{"all1", "a", "all2"}));
+  // A category first seen after the all-category subscriptions still
+  // reaches them, and never the cat.a listener.
+  seq.clear();
+  t.emit(2, "cat.b", "s");
+  EXPECT_EQ(seq, (std::vector<std::string>{"all1", "all2"}));
+  // Subscriptions survive clear().
+  seq.clear();
+  t.clear();
+  t.emit(3, "cat.a", "s");
+  EXPECT_EQ(seq, (std::vector<std::string>{"all1", "a", "all2"}));
+}
+
+TEST(Trace, CategoryListenerSeesOnlyItsCategory) {
+  Trace t;
+  t.enable_retention(false);
+  const TraceId hit = t.intern_category("hit");
+  std::vector<Time> seen;
+  t.subscribe_ids(hit, [&](const TraceEvent& e) {
+    EXPECT_EQ(e.category_id, hit);
+    seen.push_back(e.when);
+  });
+  t.emit(1, "hit", "a");
+  t.emit(2, "miss", "a");
+  t.emit(3, "hit", "b");
+  EXPECT_EQ(seen, (std::vector<Time>{1, 3}));
+  EXPECT_THROW(t.subscribe_ids(kNoTraceId, [](const TraceEvent&) {}),
+               std::out_of_range);
+  EXPECT_THROW(t.subscribe_ids(hit + 2, [](const TraceEvent&) {}),
+               std::out_of_range);
+}
+
+TEST(Trace, ListenerThatEmitsANewCategoryKeepsTheOuterDispatch) {
+  // A listener's own emit interns a category and grows the row table while
+  // the outer emit is still calling listeners.
+  Trace t;
+  const TraceId a = t.intern_category("cat.a");
+  std::vector<std::string> seq;
+  int fresh = 0;
+  t.subscribe_ids(a, [&](const TraceEvent& e) {
+    seq.push_back("a1");
+    t.emit(e.when, "fresh." + std::to_string(++fresh), "s");
+  });
+  t.subscribe_ids(a, [&](const TraceEvent&) { seq.push_back("a2"); });
+  t.subscribe_ids([&](const TraceEvent& e) {
+    seq.push_back(std::string(t.category_name(e.category_id)));
+  });
+  t.emit(1, "cat.a", "s");
+  EXPECT_EQ(seq, (std::vector<std::string>{"a1", "fresh.1", "a2", "cat.a"}));
+  EXPECT_EQ(t.count("fresh.1"), 1u);
+  EXPECT_TRUE(t.counts_match_records());
 }
 
 TEST(Trace, IdListenersGetInternedIdsValueAndDetail) {
@@ -785,8 +859,8 @@ TEST(Trace, IdListenersGetInternedIdsValueAndDetail) {
 }
 
 TEST(Trace, IdListenersWorkWithoutRetentionOrStringListeners) {
-  // The rv configuration: retention off, no TraceRecord listeners — emits
-  // must reach ID listeners without materializing any std::string.
+  // The rv configuration: retention off — emits must reach listeners
+  // without materializing any TraceRecord.
   Trace t;
   t.enable_retention(false);
   std::size_t n = 0;

@@ -612,9 +612,11 @@ TEST(ValidatorV8, ContainedTransitiveRangePassesClean) {
 /// Timing producer on one ECU feeding a data-received sink on another: the
 /// exact chain shape the holistic fixpoint bounds and a LatencyMonitor
 /// would watch.
-Composition event_chain() {
+Composition event_chain(std::size_t bits = 64) {
   Composition c;
-  c.add_interface(value_interface("IVal"));
+  PortInterface iface = value_interface("IVal");
+  iface.elements.front().bit_length = bits;
+  c.add_interface(iface);
   Runnable produce = timing_runnable("produce", milliseconds(5));
   produce.wcet_bound = orte::sim::microseconds(200);
   produce.accesses.push_back({"out", "val", DataAccessKind::kImplicitWrite});
@@ -710,6 +712,82 @@ TEST(ValidatorV5, NonPositiveBusBitrateIsAPlanError) {
   flexray.bus = BusKind::kFlexRay;
   flexray.can.bitrate_bps = 0;
   EXPECT_FALSE(has_rule(orte::validation::validate(c, flexray), "V5"));
+}
+
+TEST(ValidatorV5, ElementBitLengthOutsideOneToSixtyFourIsAnError) {
+  // Cross-ECU elements are packed into 64-bit frames; same-ECU ones are
+  // held to the same documented range.
+  for (const bool cross : {true, false}) {
+    for (const std::size_t bits : {std::size_t{0}, std::size_t{65}}) {
+      SCOPED_TRACE(std::string(cross ? "cross-ECU" : "same-ECU") + ", " +
+                   std::to_string(bits) + " bits");
+      const Composition c = event_chain(bits);
+      DeploymentPlan plan = cross_ecu_plan();
+      if (!cross) plan.instances["k"].ecu = "E0";
+      Diagnostics d;
+      ASSERT_NO_THROW(d = orte::validation::validate(c, plan));
+      const auto v5 = d.by_rule("V5");
+      ASSERT_EQ(v5.size(), 1u) << d.render();
+      EXPECT_EQ(v5.front()->severity, Severity::kError);
+      EXPECT_EQ(v5.front()->subject, "IVal.val");
+      // Packing a cross-ECU signal is a gap, not a throw.
+      if (cross) {
+        EXPECT_FALSE(elaborate(c, plan).gaps.empty());
+      }
+      Kernel kernel;
+      Trace trace;
+      try {
+        System sys(kernel, trace, c, plan);
+        ADD_FAILURE() << "System accepted a " << bits << "-bit element";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("error[V5]"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
+TEST(ValidatorV5, FlexRayTimingDomainIsAPlanError) {
+  // A negative network idle time would shorten the cycle; a non-positive
+  // minislot length divides by zero once a dynamic frame is queued.
+  struct Case {
+    const char* subject;
+    void (*apply)(orte::flexray::FlexRayConfig&);
+  };
+  const Case cases[] = {
+      {"plan.flexray.network_idle",
+       [](orte::flexray::FlexRayConfig& fr) {
+         fr.network_idle = -orte::sim::microseconds(500);
+       }},
+      {"plan.flexray.minislot_len",
+       [](orte::flexray::FlexRayConfig& fr) { fr.minislot_len = 0; }},
+  };
+  for (const Case& k : cases) {
+    SCOPED_TRACE(k.subject);
+    DeploymentPlan plan = cross_ecu_plan();
+    plan.bus = BusKind::kFlexRay;
+    k.apply(plan.flexray);
+    const Diagnostics d = orte::validation::validate(event_chain(), plan);
+    const auto v5 = d.by_rule("V5");
+    ASSERT_EQ(v5.size(), 1u) << d.render();
+    EXPECT_EQ(v5.front()->severity, Severity::kError);
+    EXPECT_EQ(v5.front()->subject, k.subject);
+    Kernel kernel;
+    Trace trace;
+    EXPECT_THROW(System(kernel, trace, event_chain(), plan),
+                 std::invalid_argument);
+    // Judged only on the bus the plan deploys on.
+    plan.bus = BusKind::kCan;
+    EXPECT_FALSE(has_rule(orte::validation::validate(event_chain(), plan),
+                          "V5"));
+  }
+  // Without a dynamic segment the minislot length is unused.
+  DeploymentPlan plan = cross_ecu_plan();
+  plan.bus = BusKind::kFlexRay;
+  plan.flexray.minislots = 0;
+  plan.flexray.minislot_len = 0;
+  EXPECT_FALSE(has_rule(orte::validation::validate(event_chain(), plan),
+                        "V5"));
 }
 
 // --- V10: monitor coverage -------------------------------------------------------
@@ -886,6 +964,31 @@ TEST(ValidatorV12, AutonomousSourceMakesChainLive) {
 // The brake-by-wire campaign workload is the canonical fixture here on
 // purpose: the same bundle feeds the E9b campaign, so these static verdicts
 // are cross-checked against measured outcomes in test_fi.
+
+TEST(ValidatorV1, UnnamedEcuIsAnError) {
+  // brake_by_wire with the pedal on an ECU named "": routes read the empty
+  // name as "undeployed", so the pedal's routes would count as local and
+  // hand its RTE slot IDs of another ECU's RTE.
+  auto bundle = orte::fi::workloads::brake_by_wire(false);
+  bundle.plan.instances["pedal"].ecu = "";
+  const Diagnostics d =
+      orte::validation::validate(bundle.model, bundle.plan);
+  const auto v1 = d.by_rule("V1");
+  ASSERT_EQ(v1.size(), 1u) << d.render();
+  EXPECT_EQ(v1.front()->severity, Severity::kError);
+  EXPECT_EQ(v1.front()->subject, "pedal");
+  Kernel kernel;
+  Trace trace;
+  try {
+    System sys(kernel, trace, bundle.model, bundle.plan);
+    sys.start();
+    sys.run_for(milliseconds(100));
+    ADD_FAILURE() << "System accepted an unnamed ECU";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("error[V1]"), std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(ValidatorV13, UnsupervisedProducerCrashIsUndetectable) {
   const auto bundle = orte::fi::workloads::brake_by_wire();

@@ -1036,4 +1036,30 @@ TEST(Rte, UndeclaredAccessRejected) {
   EXPECT_THROW(sys.run_for(milliseconds(20)), std::logic_error);
 }
 
+TEST(Rte, ForeignSlotAndSenderIdsRejected) {
+  // IDs index this RTE's own tables; one bound by another ECU's RTE (or
+  // none at all) must not reach a vector index.
+  Kernel kernel;
+  Trace trace;
+  Composition comp;
+  const DataElement element{.name = "val"};
+  Runnable r;
+  r.name = "r";
+  r.accesses.push_back({"in", "val", DataAccessKind::kExplicitRead});
+  r.accesses.push_back({"out", "val", DataAccessKind::kExplicitWrite});
+  Rte rte(kernel, trace, comp, "ecu0");
+  const Rte::SlotId slot = rte.add_slot("c.in.val", element);
+  const Rte::SenderId sender = rte.add_sender("c.out.val");
+  EXPECT_THROW(rte.deliver(slot + 1, 7), std::out_of_range);
+  EXPECT_THROW(rte.add_route(sender, slot + 1), std::out_of_range);
+  EXPECT_THROW(rte.add_route(sender + 1, slot), std::out_of_range);
+  EXPECT_THROW(rte.on_update(slot + 1, [] {}), std::out_of_range);
+  EXPECT_THROW(rte.bind("c", r, {slot + 1, sender}), std::out_of_range);
+  EXPECT_THROW(rte.bind("c", r, {slot, sender + 1}), std::out_of_range);
+  rte.add_route(sender, slot);
+  EXPECT_NO_THROW(rte.bind("c", r, {slot, sender}));
+  rte.deliver(slot, 7);
+  EXPECT_EQ(trace.count("rte.deliver", "c.in.val"), 1u);
+}
+
 }  // namespace

@@ -12,13 +12,17 @@ namespace orte_test {
 /// Names are hashed as strings, so the hash does not depend on intern IDs.
 struct TraceHash {
   explicit TraceHash(orte::sim::Trace& trace) {
-    trace.subscribe([this](const orte::sim::TraceRecord& r) {
-      mix(static_cast<std::uint64_t>(r.when));
-      for (const char c : r.category) mix(static_cast<unsigned char>(c));
+    trace.subscribe_ids([this, &trace](const orte::sim::TraceEvent& e) {
+      mix(static_cast<std::uint64_t>(e.when));
+      for (const char c : trace.category_name(e.category_id)) {
+        mix(static_cast<unsigned char>(c));
+      }
       mix(0x100);
-      for (const char c : r.subject) mix(static_cast<unsigned char>(c));
+      for (const char c : trace.subject_name(e.subject_id)) {
+        mix(static_cast<unsigned char>(c));
+      }
       mix(0x100);
-      mix(static_cast<std::uint64_t>(r.value));
+      mix(static_cast<std::uint64_t>(e.value));
       ++records;
     });
   }
